@@ -9,9 +9,9 @@ GO ?= go
 
 RACE_PKGS = ./internal/olc ./internal/pctt ./internal/store ./internal/kvserver ./internal/metrics ./internal/obs .
 
-.PHONY: check vet staticcheck build test race bench bench-batch bench-native bench-server benchdiff smoke-native smoke-diag smoke-shards smoke-pipeline smoke-health clean
+.PHONY: check vet staticcheck build test race bench-module bench bench-batch bench-native bench-server benchdiff smoke-native smoke-diag smoke-shards smoke-pipeline smoke-health clean
 
-check: vet staticcheck build test race
+check: vet staticcheck build test race bench-module
 
 vet:
 	$(GO) vet ./...
@@ -33,6 +33,12 @@ test:
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
+
+# The repository benchmark (BENCHMARK.json) builds from benchmark/, whose
+# files are frozen between benchmark PRs: vetting and testing it here is
+# what catches a serving-package API change that would break it.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Go-native microbenchmarks (testing.B): parallel CTT vs direct tree.
 bench:

@@ -27,7 +27,6 @@ import (
 	"bufio"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -346,10 +345,6 @@ type connState struct {
 	w       *bufio.Writer
 	scratch []byte
 	track   *connTrack
-	// ws is the lockstep path's in-progress wire span: serveLockstep arms
-	// it before handle so the command parser can fill in the op name and
-	// key hash. Nil whenever the op is neither traced nor journaled.
-	ws *wireSpan
 }
 
 // flush pushes buffered responses to the connection, counting only
@@ -460,156 +455,111 @@ func readLine(r *bufio.Reader) (line []byte, tooLong bool, err error) {
 	return line, false, err
 }
 
+// readCommand reads the next line and parses it: a well-formed command, or
+// the error response the line is answered with (a blank line gives
+// neither). lineAt is the stamp taken when the line arrived, before the
+// parse; it stays zero — and the clock unread — while wire observability is
+// off. Both connection loops start here. A final unterminated line comes
+// back together with io.EOF.
+func (s *Server) readCommand(r *bufio.Reader) (cmd command, errResp []byte, lineAt int64, err error) {
+	raw, tooLong, err := readLine(r)
+	if s.tracer != nil || s.journal != nil {
+		lineAt = time.Now().UnixNano()
+	}
+	if tooLong {
+		return command{}, tooLongResp, lineAt, err
+	}
+	cmd, errResp = parseCommand(raw)
+	return cmd, errResp, lineAt, err
+}
+
 // serveLockstep is the unpipelined connection loop: one command parsed,
 // applied, answered, and flushed at a time — the baseline the server
-// benchmark compares pipelining against, and the only mode where the
-// store's blocking calls are used.
+// benchmark compares pipelining against. It is a pipeline of depth exactly
+// 1: the same parser, the same store tokens (waited at once), the same
+// response formatting as the pipelined path.
 func (s *Server) serveLockstep(r *bufio.Reader, c *connState) {
 	for {
-		raw, tooLong, err := readLine(r)
-		if tooLong {
-			c.line("ERR line too long")
-			if c.flush() != nil {
-				return
-			}
-			if err != nil {
-				return
-			}
-			continue
-		}
-		line := strings.TrimSpace(string(raw))
-		if line != "" {
+		cmd, errResp, lineAt, err := s.readCommand(r)
+		if errResp != nil || cmd.kind != cmdBlank {
 			var ws *wireSpan
-			if traced := s.tracer != nil && s.tracer.Sample(); traced || s.journal != nil {
-				ws = &wireSpan{traced: traced, lineAt: time.Now().UnixNano()}
-				c.ws = ws
+			switch {
+			case errResp != nil:
+				c.w.Write(errResp)
+			case cmd.kind.point():
+				ws = s.beginWireSpan(lineAt, cmd)
+				v, found := s.submit(cmd).Wait()
+				c.reply(cmd.kind, v, found)
+			case cmd.kind == cmdQuit:
+				c.line("BYE")
+			default:
+				c.barrier(cmd)
 			}
-			quit := !c.handle(line)
 			if ws != nil {
 				ws.waitedAt = time.Now().UnixNano()
-				c.ws = nil
 			}
-			// Window accounting: the lockstep path is a pipeline of depth
-			// exactly 1, and its flushes count like the pipelined path's so
+			// Window accounting: flushes count like the pipelined path's so
 			// flushes-per-response is comparable across modes.
 			s.stats.responses.Add(1)
 			s.stats.depthSum.Add(1)
-			if quit {
-				c.flush()
-				if ws != nil {
-					ws.finalizeLockstep(time.Now().UnixNano(), s.tracer, s.journal)
-				}
-				return
-			}
-			if c.flush() != nil {
-				return
-			}
+			ferr := c.flush()
 			if ws != nil {
 				ws.finalizeLockstep(time.Now().UnixNano(), s.tracer, s.journal)
 			}
+			if ferr != nil || cmd.kind == cmdQuit {
+				return
+			}
 		}
 		if err != nil {
-			break
+			return
 		}
 	}
-	c.flush()
 }
 
-// handle executes one command line; returns false to close the session.
-func (c *connState) handle(line string) bool {
-	s := c.s
-	fields := strings.Fields(line)
-	cmd := strings.ToUpper(fields[0])
-	args := fields[1:]
-	if c.ws != nil {
-		c.ws.op = strings.ToLower(cmd)
+// submit hands a point command to the store and returns its token.
+func (s *Server) submit(cmd command) store.Pending {
+	switch cmd.kind {
+	case cmdGet:
+		return s.st.GetAsync(cmd.key)
+	case cmdPut:
+		return s.st.PutAsync(cmd.key, cmd.value)
+	default:
+		return s.st.DeleteAsync(cmd.key)
 	}
-	switch cmd {
-	case "PUT":
-		if len(args) != 2 {
-			c.line("ERR usage: PUT <key> <uint64>")
-			return true
-		}
-		v, err := strconv.ParseUint(args[1], 10, 64)
-		if err != nil {
-			c.line("ERR bad value:", err.Error())
-			return true
-		}
-		k := storedKey(args[0])
-		if c.ws != nil {
-			c.ws.hash = pctt.HashKey(k)
-		}
-		if s.st.Put(k, v) {
-			c.line("OK replaced")
-		} else {
-			c.line("OK")
-		}
-	case "GET":
-		if len(args) != 1 {
-			c.line("ERR usage: GET <key>")
-			return true
-		}
-		k := storedKey(args[0])
-		if c.ws != nil {
-			c.ws.hash = pctt.HashKey(k)
-		}
-		if v, ok := s.st.Get(k); ok {
-			c.line("VALUE", uintStr(v))
-		} else {
-			c.line("NOT_FOUND")
-		}
-	case "DEL":
-		if len(args) != 1 {
-			c.line("ERR usage: DEL <key>")
-			return true
-		}
-		k := storedKey(args[0])
-		if c.ws != nil {
-			c.ws.hash = pctt.HashKey(k)
-		}
-		if s.st.Delete(k) {
-			c.line("OK")
-		} else {
-			c.line("NOT_FOUND")
-		}
-	case "SCAN":
-		if len(args) != 2 {
-			c.line("ERR usage: SCAN <prefix> <limit>")
-			return true
-		}
-		limit, err := strconv.Atoi(args[1])
-		if err != nil || limit < 1 {
-			c.line("ERR bad limit")
-			return true
-		}
-		// The stored prefix has no terminator: scan the raw bytes. Each
-		// match streams out through the buffered writer immediately.
-		c.scan([]byte(args[0]), limit)
-	case "RANGE":
-		if len(args) != 3 {
-			c.line("ERR usage: RANGE <lo> <hi> <limit>")
-			return true
-		}
-		limit, err := strconv.Atoi(args[2])
-		if err != nil || limit < 1 {
-			c.line("ERR bad limit")
-			return true
-		}
-		c.rangeScan(storedKey(args[0]), storedKey(args[1]), limit)
-	case "LEN":
+}
+
+// reply writes a point command's response line from its token's result.
+func (c *connState) reply(kind cmdKind, value uint64, found bool) {
+	switch {
+	case kind == cmdGet && found:
+		c.line("VALUE", uintStr(value))
+	case kind == cmdPut && found:
+		c.line("OK replaced")
+	case kind == cmdPut, kind == cmdDelete && found:
+		c.line("OK")
+	default:
+		c.line("NOT_FOUND")
+	}
+}
+
+// barrier runs a command that reads the whole store (SCAN, RANGE, LEN,
+// STATS) and streams its response. The pipelined path calls it on the
+// writer once the window has drained.
+func (c *connState) barrier(cmd command) {
+	s := c.s
+	switch cmd.kind {
+	case cmdScan:
+		c.scan(cmd.key, cmd.limit)
+	case cmdRange:
+		c.rangeScan(cmd.key, cmd.hi, cmd.limit)
+	case cmdLen:
 		c.line("LEN", strconv.Itoa(s.st.Len()))
-	case "STATS":
+	case cmdStats:
 		// The full observability snapshot — counters, live gauges, and
 		// latency quantiles when enabled — as sorted key=value pairs: the
 		// wire-protocol twin of the diagnostics server's /statsz.
 		c.line("STATS", s.reg.Snapshot().String())
-	case "QUIT":
-		c.line("BYE")
-		return false
-	default:
-		c.line("ERR unknown command", cmd)
 	}
-	return true
 }
 
 // SaveSnapshot persists the store to path via store.Save (sharded stores

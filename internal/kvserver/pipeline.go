@@ -31,8 +31,6 @@ package kvserver
 
 import (
 	"bufio"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -40,25 +38,15 @@ import (
 	"repro/internal/store"
 )
 
-// pipeKind discriminates the pipelined response items.
-type pipeKind uint8
-
-const (
-	pipeLiteral pipeKind = iota // pre-formatted response (errors, BYE)
-	pipeGet
-	pipePut
-	pipeDelete
-	pipeBarrier // runs on the writer after the window drained
-)
-
 // pipeItem is one in-flight response slot. Exactly one is enqueued per
-// command, in protocol order.
+// command, in protocol order: a point op carries its store token, a
+// barrier its command, anything else a pre-formatted response.
 type pipeItem struct {
-	kind pipeKind
-	tok  store.Pending // completion token for point ops
-	resp []byte        // pipeLiteral: the response line(s), owned
-	bar  func(*connState)
-	done chan struct{} // pipeBarrier: signaled after bar ran
+	kind cmdKind       // point op: GET, PUT or DEL — picks the response format
+	tok  store.Pending // point op: completion token
+	bar  *command      // barrier: runs on the writer after the window drained
+	done chan struct{} // barrier: signaled after bar ran
+	resp []byte        // literal response line (errors, BYE); never written to
 	quit bool          // close the session after this response
 	ws   *wireSpan     // wire-layer stage stamps (traced or journaled ops)
 }
@@ -153,11 +141,12 @@ func (ws *wireSpan) finalizeLockstep(flushedAt int64, tr *obs.Tracer, j *obs.Jou
 	}
 }
 
-// beginWireSpan makes the per-command wire sampling decision: every op is
-// stamped when the slow-op journal is armed, plus the tracer's own 1-in-N
-// choice. lineAt is the pre-parse stamp taken when readLine returned; zero
-// means wire observability is off entirely and no span is made.
-func (s *Server) beginWireSpan(lineAt int64, op string, key []byte) *wireSpan {
+// beginWireSpan makes the per-operation wire sampling decision for a parsed
+// point command: every op is stamped when the slow-op journal is armed,
+// plus the tracer's own 1-in-N choice. lineAt is the pre-parse stamp taken
+// by readCommand; zero means wire observability is off entirely and no
+// span is made.
+func (s *Server) beginWireSpan(lineAt int64, cmd command) *wireSpan {
 	if lineAt == 0 {
 		return nil
 	}
@@ -166,13 +155,16 @@ func (s *Server) beginWireSpan(lineAt int64, op string, key []byte) *wireSpan {
 		return nil
 	}
 	return &wireSpan{
-		hash:     pctt.HashKey(key),
-		op:       op,
+		hash:     pctt.HashKey(cmd.key),
+		op:       cmd.kind.String(),
 		traced:   traced,
 		lineAt:   lineAt,
 		parsedAt: time.Now().UnixNano(),
 	}
 }
+
+// tooLongResp answers a line that overflowed the read buffer.
+var tooLongResp = respLine("ERR line too long")
 
 // servePipelined runs one connection's reader loop, with the response
 // writer on a second goroutine.
@@ -184,119 +176,28 @@ func (s *Server) servePipelined(r *bufio.Reader, c *connState) {
 	// One reusable completion signal: at most one barrier is ever
 	// outstanding because the reader blocks on it.
 	barDone := make(chan struct{}, 1)
-	barrier := func(fn func(*connState)) {
-		items <- pipeItem{kind: pipeBarrier, bar: fn, done: barDone}
-		<-barDone
-	}
-	literal := func(parts ...string) {
-		items <- pipeItem{kind: pipeLiteral, resp: respLine(parts...)}
-	}
 
-	// obsOn gates the wire-span clock reads: zero lineAt short-circuits
-	// beginWireSpan, so un-observed connections never touch the clock.
-	obsOn := s.tracer != nil || s.journal != nil
-
-read:
-	for {
-		raw, tooLong, err := readLine(r)
-		if tooLong {
-			literal("ERR line too long")
-			if err != nil {
-				break
+	for quit := false; !quit; {
+		cmd, errResp, lineAt, err := s.readCommand(r)
+		switch {
+		case errResp != nil:
+			items <- pipeItem{resp: errResp}
+		case cmd.kind == cmdBlank:
+		case cmd.kind.point():
+			ws := s.beginWireSpan(lineAt, cmd)
+			s.stats.submitted()
+			tok := s.submit(cmd)
+			if ws != nil {
+				ws.submittedAt = time.Now().UnixNano()
 			}
-			continue
-		}
-		var lineAt int64
-		if obsOn {
-			lineAt = time.Now().UnixNano()
-		}
-		fields := strings.Fields(string(raw))
-		if len(fields) > 0 {
-			cmd := strings.ToUpper(fields[0])
-			args := fields[1:]
-			switch cmd {
-			case "PUT":
-				if len(args) != 2 {
-					literal("ERR usage: PUT <key> <uint64>")
-					break
-				}
-				v, perr := strconv.ParseUint(args[1], 10, 64)
-				if perr != nil {
-					literal("ERR bad value:", perr.Error())
-					break
-				}
-				k := storedKey(args[0])
-				ws := s.beginWireSpan(lineAt, "put", k)
-				s.stats.submitted()
-				tok := s.st.PutAsync(k, v)
-				if ws != nil {
-					ws.submittedAt = time.Now().UnixNano()
-				}
-				items <- pipeItem{kind: pipePut, tok: tok, ws: ws}
-			case "GET":
-				if len(args) != 1 {
-					literal("ERR usage: GET <key>")
-					break
-				}
-				k := storedKey(args[0])
-				ws := s.beginWireSpan(lineAt, "get", k)
-				s.stats.submitted()
-				tok := s.st.GetAsync(k)
-				if ws != nil {
-					ws.submittedAt = time.Now().UnixNano()
-				}
-				items <- pipeItem{kind: pipeGet, tok: tok, ws: ws}
-			case "DEL":
-				if len(args) != 1 {
-					literal("ERR usage: DEL <key>")
-					break
-				}
-				k := storedKey(args[0])
-				ws := s.beginWireSpan(lineAt, "delete", k)
-				s.stats.submitted()
-				tok := s.st.DeleteAsync(k)
-				if ws != nil {
-					ws.submittedAt = time.Now().UnixNano()
-				}
-				items <- pipeItem{kind: pipeDelete, tok: tok, ws: ws}
-			case "SCAN":
-				if len(args) != 2 {
-					literal("ERR usage: SCAN <prefix> <limit>")
-					break
-				}
-				limit, lerr := strconv.Atoi(args[1])
-				if lerr != nil || limit < 1 {
-					literal("ERR bad limit")
-					break
-				}
-				prefix := []byte(args[0])
-				barrier(func(c *connState) { c.scan(prefix, limit) })
-			case "RANGE":
-				if len(args) != 3 {
-					literal("ERR usage: RANGE <lo> <hi> <limit>")
-					break
-				}
-				limit, lerr := strconv.Atoi(args[2])
-				if lerr != nil || limit < 1 {
-					literal("ERR bad limit")
-					break
-				}
-				lo, hi := storedKey(args[0]), storedKey(args[1])
-				barrier(func(c *connState) { c.rangeScan(lo, hi, limit) })
-			case "LEN":
-				barrier(func(c *connState) {
-					c.line("LEN", strconv.Itoa(s.st.Len()))
-				})
-			case "STATS":
-				barrier(func(c *connState) {
-					c.line("STATS", s.reg.Snapshot().String())
-				})
-			case "QUIT":
-				items <- pipeItem{kind: pipeLiteral, resp: respLine("BYE"), quit: true}
-				break read
-			default:
-				literal("ERR unknown command", cmd)
-			}
+			items <- pipeItem{kind: cmd.kind, tok: tok, ws: ws}
+		case cmd.kind == cmdQuit:
+			items <- pipeItem{resp: respLine("BYE"), quit: true}
+			quit = true
+		default:
+			bar := cmd // only a barrier's command moves to the heap
+			items <- pipeItem{bar: &bar, done: barDone}
+			<-barDone
 		}
 		if err != nil {
 			break
@@ -357,46 +258,20 @@ func (s *Server) pipeWriter(items <-chan pipeItem, c *connState, done chan<- str
 		if it.ws != nil {
 			it.ws.dequeuedAt = time.Now().UnixNano()
 		}
-		switch it.kind {
-		case pipeLiteral:
-			if !dead {
-				c.w.Write(it.resp)
-			}
-		case pipeGet:
+		switch {
+		case it.tok != nil:
 			v, found := it.tok.Wait()
 			s.stats.inflight.Add(-1)
 			if !dead {
-				if found {
-					c.line("VALUE", uintStr(v))
-				} else {
-					c.line("NOT_FOUND")
-				}
+				c.reply(it.kind, v, found)
 			}
-		case pipePut:
-			_, replaced := it.tok.Wait()
-			s.stats.inflight.Add(-1)
+		case it.bar != nil:
 			if !dead {
-				if replaced {
-					c.line("OK replaced")
-				} else {
-					c.line("OK")
-				}
-			}
-		case pipeDelete:
-			_, found := it.tok.Wait()
-			s.stats.inflight.Add(-1)
-			if !dead {
-				if found {
-					c.line("OK")
-				} else {
-					c.line("NOT_FOUND")
-				}
-			}
-		case pipeBarrier:
-			if !dead {
-				it.bar(c)
+				c.barrier(*it.bar)
 			}
 			it.done <- struct{}{}
+		case !dead:
+			c.w.Write(it.resp)
 		}
 		if it.ws != nil {
 			it.ws.waitedAt = time.Now().UnixNano()
@@ -429,7 +304,7 @@ func respLine(parts ...string) []byte {
 }
 
 // scan executes SCAN against the store, streaming rows through the
-// writer's connState (shared by the lockstep handle path).
+// connection's writer.
 func (c *connState) scan(prefix []byte, limit int) {
 	s := c.s
 	clipped := limit > s.maxScan

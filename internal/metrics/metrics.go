@@ -87,8 +87,9 @@ const (
 	// CtrHotsetInvalidate counts hotset entries dropped because their anchor
 	// node was made obsolete by a structural change.
 	CtrHotsetInvalidate = "hotset_invalidate"
-	// CtrBypassOps counts operations executed directly against the tree by
-	// the single-worker combine-window bypass (P-CTT only).
+	// CtrBypassOps is incremented by nothing: every point op is a task in a
+	// combine bucket. It stays defined because the repository benchmark
+	// reports pctt.bypass_share from it (benchmark/layers.go), and reads 0.
 	CtrBypassOps = "bypass_ops"
 	// CtrOpsScan counts ordered read operations (prefix scans, range scans,
 	// and full walks) routed through an engine's scan path.

@@ -129,6 +129,12 @@ type LeafRef struct {
 // check liveness; that happens inside GetLeaf/PutLeaf.
 func (r LeafRef) Valid() bool { return r.l != nil }
 
+// Key returns the key the leaf was inserted under: the tree's own copy,
+// immutable for the leaf's whole life, so it stays comparable after the
+// caller that located the leaf has reused its key buffer. The result must
+// not be modified. r must be Valid.
+func (r LeafRef) Key() []byte { return r.l.key }
+
 // LocateLeaf returns a LeafRef for key if key is currently present.
 func (t *Tree) LocateLeaf(key []byte) (LeafRef, bool) {
 	n := t.root.Load()

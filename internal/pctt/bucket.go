@@ -24,7 +24,7 @@ const (
 	bRunning
 )
 
-// bucket is one combine bucket: all keys sharing a PrefixBits-bit prefix.
+// bucket is one combine bucket: all keys sharing a prefixBits-bit prefix.
 // It is the unit of batching, of deadline accounting (windowStart opens
 // when the first op arrives), and of work stealing (a bucket moves between
 // workers whole).
@@ -41,7 +41,7 @@ type bucket struct {
 	nops   int       // total tasks across chunks
 	// state is written only under mu (the transitions above) but stored
 	// atomically so the observability layer can read live idle/queued/
-	// running gauge counts without taking 2^PrefixBits bucket locks.
+	// running gauge counts without taking nBuckets bucket locks.
 	state atomic.Int32
 	// windowStart is the unix-nano time the current combine window opened
 	// (idle->queued transition or post-execution re-queue); the deadline
@@ -53,12 +53,6 @@ type bucket struct {
 	// or handoff; Shortcut_Table entries migrate lazily (the new owner
 	// simply misses and re-populates its private table).
 	owner int32
-}
-
-// submitOne routes a single task (Batcher path) through a pooled
-// single-task chunk.
-func (e *Engine) submitOne(shard int, t task) {
-	e.submitChunk(shard, append(e.getChunk(), t))
 }
 
 // submitChunk appends a pre-sharded run of tasks to the bucket's backlog,

@@ -107,55 +107,43 @@ func TestHotsetPolicy(t *testing.T) {
 	h.invalidate(1) // absent: no-op
 }
 
-// TestSingleWorkerBypass: a Workers==1 engine with an idle pipeline must
-// execute directly (counted by bypass_ops) while preserving the Batcher
-// and Run semantics; NoBypass must pin the pipeline path.
-func TestSingleWorkerBypass(t *testing.T) {
-	e := New(Config{Workers: 1})
-	defer e.Close()
+// TestHotsetBookkeepingBounded: refreshing resident anchors must leave no
+// per-put state behind — after any number of puts the hotset holds its
+// capN entries and nothing else (the slot index is a fixed array).
+func TestHotsetBookkeepingBounded(t *testing.T) {
+	tr := olc.New(metrics.NewSet())
+	var keys [][]byte
+	for i := 0; i < 8; i++ {
+		k := []byte(fmt.Sprintf("hs:%d\x00", i))
+		tr.Put(k, uint64(i))
+		keys = append(keys, k)
+	}
+	anchor := anchorFor(t, tr, keys)
 
-	k := []byte("solo\x00")
-	if e.Put(k, 7) {
-		t.Fatal("first put reported replaced")
+	const capN = 64
+	h := newHotset(capN)
+	for i := 0; i < 100_000; i++ {
+		h.put(i%capN, anchor, keys[0], int64(1+i%7))
 	}
-	if v, ok := e.Get(k); !ok || v != 7 {
-		t.Fatalf("get = (%d,%v), want (7,true)", v, ok)
+	if len(h.entries) != capN || cap(h.entries) != capN {
+		t.Fatalf("hotset holds %d entries (cap %d) after 100000 puts over %d buckets, want exactly %d",
+			len(h.entries), cap(h.entries), capN, capN)
 	}
-	if !e.Delete(k) {
-		t.Fatal("delete missed existing key")
+	if h.liveA.Load() != capN {
+		t.Fatalf("liveA = %d, want %d", h.liveA.Load(), capN)
 	}
-	if got := e.Metrics().Get(metrics.CtrBypassOps); got != 3 {
-		t.Fatalf("bypass_ops after 3 idle Batcher calls = %d, want 3", got)
-	}
-
-	w := testWorkload(t, 500, 5000, 44)
-	e.Load(w.Keys, nil) // resets counters
-	res := e.Run(w.Ops)
-	if res.Ops != len(w.Ops) {
-		t.Fatalf("res.Ops = %d", res.Ops)
-	}
-	if got := e.Metrics().Get(metrics.CtrBypassOps); got != int64(len(w.Ops)) {
-		t.Fatalf("bypass_ops after Run = %d, want %d", got, len(w.Ops))
-	}
-	ref := replay(w)
-	if e.Tree().Len() != len(ref) {
-		t.Fatalf("tree has %d keys, reference %d", e.Tree().Len(), len(ref))
-	}
-	for ks, want := range ref {
-		if got, ok := e.Tree().Get([]byte(ks)); !ok || got != want {
-			t.Fatalf("key %q = (%d,%v), want %d", ks, got, ok, want)
+	resident := 0
+	for b, i := range h.slot {
+		if i == 0 {
+			continue
+		}
+		resident++
+		if h.entries[i-1].bucket != b {
+			t.Fatalf("slot[%d] points at entry of bucket %d", b, h.entries[i-1].bucket)
 		}
 	}
-
-	// NoBypass forces the queue hop even at one worker.
-	e2 := New(Config{Workers: 1, NoBypass: true})
-	defer e2.Close()
-	e2.Put(k, 1)
-	if v, ok := e2.Get(k); !ok || v != 1 {
-		t.Fatalf("NoBypass get = (%d,%v)", v, ok)
-	}
-	if got := e2.Metrics().Get(metrics.CtrBypassOps); got != 0 {
-		t.Fatalf("NoBypass engine counted %d bypass_ops", got)
+	if resident != capN {
+		t.Fatalf("%d buckets resident, want %d", resident, capN)
 	}
 }
 

@@ -36,7 +36,7 @@ func (e *Engine) BucketStateCounts() (idle, queued, running int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.buckets == nil {
-		return 1 << uint(e.cfg.PrefixBits), 0, 0
+		return nBuckets, 0, 0
 	}
 	for i := range e.buckets {
 		switch e.buckets[i].state.Load() {

@@ -5,7 +5,7 @@
 // events, pctt executes it with real goroutines for real wall-clock
 // throughput:
 //
-//   - Combine — incoming operations are sharded by the leading PrefixBits
+//   - Combine — incoming operations are sharded by the leading prefixBits
 //     bits of the key (after the loaded key set's common prefix, as in
 //     internal/ctt) into combine buckets. A bucket accumulates a FIFO
 //     backlog and is scheduled onto a worker through a bounded lock-free
@@ -29,11 +29,12 @@
 // hold across steals, which is what keeps write-combining and the
 // per-worker shortcut tables safe without cross-worker synchronization.
 //
-// The engine is exposed three ways: as an engine.Engine (Run over an
-// operation stream, used by the harness and the integration cross-checks),
-// as a blocking Batcher API (Get/Put/Delete, used by the kvserver hot path
-// to coalesce concurrent TCP requests), and through native testing.B
-// benchmarks in the repository root.
+// There is one way into the pipeline: every point operation is a task in a
+// combine bucket. GetAsync/PutAsync/DeleteAsync submit one task and return
+// its completion token (submit.go); Get/Put/Delete are those plus Wait; Run
+// (the engine.Engine face the harness and the integration cross-checks
+// drive) pre-shards a whole stream into bucket chunks and submits those.
+// Callers who want no pipeline use the tree directly (store.Direct).
 //
 // Ordering contract: per key, per producer, FIFO — a producer that issues
 // W(k,v) then R(k) observes v (read-your-writes). Cross-key ordering is
@@ -66,10 +67,6 @@ type Config struct {
 	// Workers is the number of worker goroutines (SOU analogues). Default
 	// runtime.GOMAXPROCS(0); the paper's hardware has 16 SOUs.
 	Workers int
-	// PrefixBits is the number of leading key bits (after the key set's
-	// common prefix) used as the combining bucket label (default 8,
-	// matching the PCU; 2^PrefixBits buckets).
-	PrefixBits int
 	// BatchSize caps the operations a worker executes per trigger batch
 	// (default 4096). A bucket backlog larger than this is split in FIFO
 	// order across consecutive batches.
@@ -89,9 +86,6 @@ type Config struct {
 	// pipeline throughput — while QueueDepth only shapes how the allowance
 	// spreads across buckets. Producers spin-yield when the bound is hit.
 	MaxInflight int
-	// ShortcutCap bounds each worker's Shortcut_Table population (default
-	// 1<<16 entries); exceeding it clears the table (epoch eviction).
-	ShortcutCap int
 	// HotsetCap bounds each worker's hot-node residency set: cached
 	// interior-node anchors (one per combine bucket, ranked by bucket
 	// population under value-aware replacement) that batch descents start
@@ -113,22 +107,13 @@ type Config struct {
 	// NoSteal disables whole-bucket work stealing and handoff, pinning
 	// every bucket to its home worker (bucket mod Workers).
 	NoSteal bool
-	// NoBypass disables the single-worker fast path. By default a
-	// Workers==1 engine with an empty pipeline executes operations directly
-	// against the tree (combining cannot help when one worker would execute
-	// the whole backlog serially anyway, and the queue hop dominates
-	// latency); under concurrent load — anything in flight — the pipeline
-	// path and its combine windows re-engage automatically. Set NoBypass to
-	// force every operation through the pipeline (ablation, tests of the
-	// combining machinery).
-	NoBypass bool
 	// CollectReads makes Run record every read's result, as in
 	// engine.Config.
 	CollectReads bool
 	// RecordLatency samples per-operation pipeline latency (true submit to
 	// completion) plus the queue-wait/execute split into histograms; see
 	// LatencyHistogram, QueueWaitHistogram, ExecHistogram. Sampling is
-	// 1-in-16 on both the Run and the Batcher paths.
+	// 1-in-16 (see sample).
 	RecordLatency bool
 	// Tracer, when non-nil, samples operation lifecycles (combine/queue
 	// wait -> steal or handoff -> trigger-execute) into the obs span ring.
@@ -143,11 +128,11 @@ type Config struct {
 	// escape because it wasn't the 1-in-N one.
 	Journal *obs.Journal
 	// BatchHook, when non-nil, runs on the worker goroutine immediately
-	// before each trigger batch executes (and once per bypass stream on the
-	// caller's goroutine). It is a test/fault-injection point: a hook that
-	// blocks stalls that worker exactly as a wedged batch would — heartbeat
-	// frozen, in-flight ops held — which is how the health engine's stall
-	// detection is exercised end to end. Production configs leave it nil.
+	// before each trigger batch executes. It is a test/fault-injection
+	// point: a hook that blocks stalls that worker exactly as a wedged batch
+	// would — heartbeat frozen, in-flight ops held — which is how the health
+	// engine's stall detection is exercised end to end. Production configs
+	// leave it nil.
 	BatchHook func(worker int)
 }
 
@@ -155,9 +140,6 @@ type Config struct {
 func (c Config) Defaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.PrefixBits <= 0 || c.PrefixBits > 16 {
-		c.PrefixBits = 8
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 4096
@@ -170,9 +152,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 4 * c.BatchSize
-	}
-	if c.ShortcutCap <= 0 {
-		c.ShortcutCap = 1 << 16
 	}
 	if c.HotsetCap == 0 {
 		c.HotsetCap = 64
@@ -190,12 +169,24 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// The combining geometry is fixed, as in the paper's PCU.
+const (
+	// prefixBits is the number of leading key bits (after the key set's
+	// common prefix) that label a combine bucket (at most 16, the window
+	// shardOf reads).
+	prefixBits = 8
+	nBuckets   = 1 << prefixBits
+	// shortcutCap bounds each worker's Shortcut_Table population;
+	// exceeding it clears the table (epoch eviction).
+	shortcutCap = 1 << 16
+)
+
 // dispatchStripe is how often (in stream operations) Run force-flushes all
 // open producer mini-chunks, bounding producer-side buffering of cold
 // buckets to well under a millisecond at any realistic throughput.
 const dispatchStripe = 2048
 
-// taskResult is the outcome delivered to a blocking Batcher call.
+// taskResult is the outcome a Pending token delivers.
 type taskResult struct {
 	value uint64
 	found bool // read: key present; put: value replaced; delete: key removed
@@ -213,7 +204,8 @@ type task struct {
 	// res, when non-nil, is the Run-mode destination slot for a read.
 	res *engine.ReadResult
 	idx int // stream index for res
-	// reply, when non-nil, receives the Batcher-mode outcome (buffered 1).
+	// reply, when non-nil, receives the outcome for the task's Pending
+	// token (buffered 1).
 	reply chan taskResult
 	// done, when non-nil, is decremented once the task has executed
 	// (Run-mode completion accounting).
@@ -230,7 +222,7 @@ type task struct {
 	traced bool
 }
 
-// replyPool recycles Batcher reply channels.
+// replyPool recycles Pending reply channels.
 var replyPool = sync.Pool{
 	New: func() any { return make(chan taskResult, 1) },
 }
@@ -248,10 +240,9 @@ type Engine struct {
 	// key; the combining prefix starts after them. Set by Load.
 	prefixSkip int
 
-	nBuckets int
-	buckets  []bucket
-	rings    []*ring
-	workers  []*worker
+	buckets []bucket
+	rings   []*ring
+	workers []*worker
 
 	// chunkPool recycles task chunks between workers (which drain them)
 	// and submitters (which fill them). The population is bursty — every
@@ -268,7 +259,7 @@ type Engine struct {
 	// inflight counts submitted-but-not-completed operations; the drain
 	// phase of Close spins until it reaches zero.
 	inflight atomic.Int64
-	// latN strides the Batcher path's 1-in-16 latency sampling.
+	// latN strides the 1-in-16 latency sampling.
 	latN atomic.Uint64
 
 	started atomic.Bool
@@ -331,8 +322,7 @@ func (e *Engine) start() {
 	if e.started.Load() || e.closed {
 		return
 	}
-	e.nBuckets = 1 << uint(e.cfg.PrefixBits)
-	e.buckets = make([]bucket, e.nBuckets)
+	e.buckets = make([]bucket, nBuckets)
 	for i := range e.buckets {
 		b := &e.buckets[i]
 		b.cond.L = &b.mu
@@ -341,7 +331,7 @@ func (e *Engine) start() {
 	e.rings = make([]*ring, e.cfg.Workers)
 	e.workers = make([]*worker, e.cfg.Workers)
 	for i := range e.rings {
-		e.rings[i] = newRing(e.nBuckets)
+		e.rings[i] = newRing(nBuckets)
 		e.workers[i] = newWorker(e, i)
 	}
 	e.wg.Add(e.cfg.Workers)
@@ -352,8 +342,7 @@ func (e *Engine) start() {
 }
 
 // Close stops the worker pool after draining in-flight operations.
-// Subsequent Batcher calls execute directly against the tree; subsequent
-// Run calls fall back to sequential execution.
+// Subsequent operations execute on the caller's goroutine (direct).
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -373,7 +362,7 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// shardOf maps a key to its combine bucket: the PrefixBits-bit key prefix
+// shardOf maps a key to its combine bucket: the prefixBits-bit key prefix
 // taken after the loaded key set's common leading bytes (same labeling as
 // internal/ctt's bucketOf).
 func (e *Engine) shardOf(key []byte) int {
@@ -386,7 +375,7 @@ func (e *Engine) shardOf(key []byte) int {
 		b1 = key[i+1]
 	}
 	v := uint32(b0)<<8 | uint32(b1)
-	return int(v >> uint(16-e.cfg.PrefixBits))
+	return int(v >> (16 - prefixBits))
 }
 
 // Load implements engine.Engine: bulk-insert the initial key set (not
@@ -435,17 +424,16 @@ func (e *Engine) Run(ops []workload.Op) *engine.Result {
 
 	t0 := time.Now()
 	e.mu.RLock()
-	switch {
-	case e.closed:
+	if e.closed {
 		e.mu.RUnlock()
-		e.runSequential(ops, slots)
-	case e.bypassEligible():
-		// Single worker, empty pipeline: the combine window cannot help (one
-		// worker would execute the whole backlog serially anyway), so skip
-		// the queue hop and run the stream directly.
-		e.runBypass(ops, slots)
-		e.mu.RUnlock()
-	default:
+		for i := range ops {
+			op := &ops[i]
+			r := e.direct(task{kind: op.Kind, key: op.Key, value: op.Value})
+			if slots != nil && op.Kind == workload.Read {
+				slots[i] = engine.ReadResult{Index: i, Value: r.value, OK: r.found}
+			}
+		}
+	} else {
 		e.dispatch(ops, slots)
 		e.mu.RUnlock()
 	}
@@ -467,7 +455,7 @@ func (e *Engine) Run(ops []workload.Op) *engine.Result {
 // buffering is bounded for cold buckets too. Caller holds e.mu.RLock.
 func (e *Engine) dispatch(ops []workload.Op, slots []engine.ReadResult) {
 	var wg sync.WaitGroup
-	open := make([][]task, e.nBuckets)
+	open := make([][]task, nBuckets)
 	dirty := make([]int, 0, 64) // buckets with a non-empty open chunk
 	flush := func(s int) {
 		c := open[s]
@@ -478,7 +466,6 @@ func (e *Engine) dispatch(ops []workload.Op, slots []engine.ReadResult) {
 		e.submitChunk(s, c) // chunk ownership passes to the bucket
 		open[s] = nil
 	}
-	sampleEvery := 16 // latency sampling stride
 	for i := range ops {
 		op := &ops[i]
 		s := e.shardOf(op.Key)
@@ -494,19 +481,7 @@ func (e *Engine) dispatch(ops []workload.Op, slots []engine.ReadResult) {
 		if slots != nil && op.Kind == workload.Read {
 			t.res = &slots[i]
 		}
-		if e.cfg.RecordLatency && i%sampleEvery == 0 {
-			t.lat = true
-			t.enq = time.Now().UnixNano()
-		}
-		if tr := e.cfg.Tracer; tr != nil && tr.Sample() {
-			t.traced = true
-			if t.enq == 0 {
-				t.enq = time.Now().UnixNano()
-			}
-		}
-		if e.cfg.Journal != nil && t.enq == 0 {
-			t.enq = time.Now().UnixNano()
-		}
+		t.enq, t.lat, t.traced = e.sample()
 		c = append(c, t)
 		open[s] = c
 		if len(c) >= e.cfg.ChunkSize {
@@ -524,105 +499,6 @@ func (e *Engine) dispatch(ops []workload.Op, slots []engine.ReadResult) {
 	}
 	e.ms.Add(metrics.CtrCombineSteps, int64(len(ops)))
 	wg.Wait()
-}
-
-// bypassEligible reports whether the single-worker fast path applies right
-// now: one worker, bypass not disabled, and nothing in flight (a shallow
-// queue means there is nothing to coalesce with; anything in flight means
-// concurrent producers are active and the combine window can win). Caller
-// holds e.mu (read) with e.closed false, which implies the pipeline
-// started.
-func (e *Engine) bypassEligible() bool {
-	return e.cfg.Workers == 1 && !e.cfg.NoBypass && e.inflight.Load() == 0
-}
-
-// runBypass executes the stream directly against the tree on the caller's
-// goroutine (single-worker fast path). Per-key order is trivially the
-// stream order; latency samples (queue wait pinned at zero — there is no
-// queue) and trace spans land in worker 0's instruments so the obs layer
-// sees one coherent story.
-func (e *Engine) runBypass(ops []workload.Op, slots []engine.ReadResult) {
-	w := e.workers[0]
-	if h := e.cfg.BatchHook; h != nil {
-		h(0)
-	}
-	defer w.beats.Add(1)
-	record := e.cfg.RecordLatency
-	tr := e.cfg.Tracer
-	j := e.cfg.Journal
-	for i := range ops {
-		op := &ops[i]
-		var t0 int64
-		traced := tr != nil && tr.Sample()
-		lat := record && i%16 == 0
-		if lat || traced || j != nil {
-			t0 = time.Now().UnixNano()
-		}
-		switch op.Kind {
-		case workload.Read:
-			v, ok := e.tree.Get(op.Key)
-			if slots != nil {
-				slots[i] = engine.ReadResult{Index: i, Value: v, OK: ok}
-			}
-		case workload.Write:
-			e.tree.Put(op.Key, op.Value)
-		case workload.Delete:
-			e.tree.Delete(op.Key)
-		}
-		if t0 != 0 {
-			now := time.Now().UnixNano()
-			d := float64(now-t0) * 1e-9
-			if lat {
-				w.histMu.Lock()
-				w.histTotal.Observe(d)
-				w.histQueue.Observe(0)
-				w.histExec.Observe(d)
-				w.histMu.Unlock()
-			}
-			if traced || j != nil {
-				s := obs.Span{
-					TraceID:        hashKey(op.Key),
-					Op:             opName(op.Kind),
-					Worker:         0,
-					Bucket:         e.shardOf(op.Key),
-					SubmitUnixNano: t0,
-					BatchUnixNano:  t0,
-					DoneUnixNano:   now,
-					ExecNanos:      now - t0,
-					Layer:          "engine",
-					Stages: []obs.Stage{{
-						Name: "trigger", StartUnixNano: t0, EndUnixNano: now,
-					}},
-				}
-				if traced {
-					tr.Record(s)
-				}
-				if j != nil {
-					j.Observe(s)
-				}
-			}
-		}
-	}
-	w.ops.Add(int64(len(ops)))
-	e.ms.Add(metrics.CtrBypassOps, int64(len(ops)))
-}
-
-// runSequential is the post-Close fallback: direct tree execution.
-func (e *Engine) runSequential(ops []workload.Op, slots []engine.ReadResult) {
-	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case workload.Read:
-			v, ok := e.tree.Get(op.Key)
-			if slots != nil {
-				slots[i] = engine.ReadResult{Index: i, Value: v, OK: ok}
-			}
-		case workload.Write:
-			e.tree.Put(op.Key, op.Value)
-		case workload.Delete:
-			e.tree.Delete(op.Key)
-		}
-	}
 }
 
 // LatencyHistogram merges the per-worker end-to-end latency histograms
@@ -671,8 +547,8 @@ func (e *Engine) WorkerOps() []int64 {
 }
 
 // WorkerHeartbeats returns each worker's progress heartbeat: trigger
-// batches completed (plus bypass streams for worker 0). Safe while the
-// pipeline is live; returns per-worker zeros before the pool starts.
+// batches completed. Safe while the pipeline is live; returns per-worker
+// zeros before the pool starts.
 func (e *Engine) WorkerHeartbeats() []uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -718,7 +594,7 @@ func (e *Engine) HotsetCount() int {
 // that could be narrower than its bucket and would miss keys the bucket
 // legitimately routes.
 func (e *Engine) anchorMaxDepth() int {
-	return e.prefixSkip + e.cfg.PrefixBits/8
+	return e.prefixSkip + prefixBits/8
 }
 
 // commonPrefixLenAll returns the length of the byte prefix shared by every

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -283,10 +284,10 @@ func TestCloseThenUse(t *testing.T) {
 }
 
 // TestCoalescingCounters: a hot-key stream must coalesce and populate the
-// shortcut table. NoBypass pins the single worker to the pipeline path —
-// by default a Workers==1 engine with an empty queue executes directly.
+// shortcut table. NoSteal keeps the hot bucket on the worker whose table
+// the first run populated.
 func TestCoalescingCounters(t *testing.T) {
-	e := New(Config{Workers: 1, BatchSize: 1024, ChunkSize: 1024, NoBypass: true})
+	e := New(Config{Workers: 2, BatchSize: 1024, ChunkSize: 1024, NoSteal: true})
 	defer e.Close()
 	// A few sibling keys so the tree has internal nodes (a bare-leaf root
 	// admits no shortcut).
@@ -312,5 +313,94 @@ func TestCoalescingCounters(t *testing.T) {
 	e.Run(ops) // second run should hit the shortcut table
 	if h := e.Metrics().Get("shortcut_hit"); h == 0 {
 		t.Fatal("no shortcut hits on re-run")
+	}
+}
+
+// TestKeyBufferReuseAfterWait: a producer may overwrite its key buffer the
+// moment a token resolves. The Shortcut_Table entry the write created must
+// keep matching its key (it is verified against the leaf's own key, not
+// the producer's bytes), so another goroutine's read of that key is still
+// a shortcut hit.
+func TestKeyBufferReuseAfterWait(t *testing.T) {
+	e := New(Config{Workers: 2, NoSteal: true})
+	e.Load([][]byte{
+		[]byte("kr:aaaaa\x00"), []byte("kr:bbbbb\x00"), []byte("kr:ccccc\x00"),
+	}, nil)
+	keyA, keyB := []byte("kr:alpha\x00"), []byte("kr:bravo\x00")
+
+	buf := append([]byte(nil), keyA...)
+	e.PutAsync(buf, 41).Wait()
+	copy(buf, keyB) // the token resolved: the buffer is the producer's again
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if v, ok := e.Get(keyA); !ok || v != 41 {
+			t.Errorf("Get(A) after the producer reused its buffer = (%d,%v), want (41,true)", v, ok)
+		}
+	}()
+	<-done
+	if err := e.Close(); err != nil { // drain: the last batch's counters flush
+		t.Fatal(err)
+	}
+	if hits := e.Metrics().Get(metrics.CtrShortcutHit); hits != 1 {
+		t.Fatalf("shortcut_hit = %d, want 1: the entry stopped matching its key", hits)
+	}
+}
+
+// TestKeyBufferReuseRace is the two-producer variant, for -race: one
+// producer drives inserts, overwrites and deletes out of a single key
+// buffer it rewrites after every Wait, while a second reads the key they
+// share — so the buffer's owner and the reader meet in the same groups.
+// The worker must never read a task's key after that task completed.
+func TestKeyBufferReuseRace(t *testing.T) {
+	e := New(Config{Workers: 2, NoSteal: true})
+	defer e.Close()
+	e.Load([][]byte{
+		[]byte("kr:aaaaa\x00"), []byte("kr:bbbbb\x00"), []byte("kr:ccccc\x00"),
+	}, nil)
+	keyA := []byte("kr:alpha\x00")
+
+	const rounds = 2000
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if v, ok := e.Get(keyA); ok {
+				if v < last {
+					t.Errorf("Get(A) went backwards: %d after %d", v, last)
+					return
+				}
+				last = v
+			}
+		}
+	}()
+	buf := make([]byte, len(keyA))
+	for i := 1; i <= rounds; i++ {
+		copy(buf, keyA)
+		e.PutAsync(buf, uint64(i)).Wait()
+		copy(buf, fmt.Sprintf("kr:%05d\x00", i))
+		if _, replaced := e.PutAsync(buf, uint64(i)).Wait(); replaced {
+			t.Fatalf("round %d: insert of a fresh key reported replaced", i)
+		}
+		if _, present := e.DeleteAsync(buf).Wait(); !present {
+			t.Fatalf("round %d: delete missed the key just inserted", i)
+		}
+		if i%3 == 0 {
+			copy(buf, keyA)
+			e.DeleteAsync(buf).Wait()
+		}
+	}
+	close(stop)
+	<-done
+	if n := e.Len(); n != 4 { // the three loaded keys plus A
+		t.Fatalf("Len = %d, want 4", n)
 	}
 }

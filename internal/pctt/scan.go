@@ -19,8 +19,8 @@ import (
 // Consistency matches olc's lock-crabbing contract: each visited node is
 // observed in a consistent state, but the scan is not a snapshot — point
 // writes applied by the pipeline during the scan may or may not be seen.
-// A caller's own acked writes (blocking Batcher calls) are visible,
-// because every Batcher call returns only after the write applied.
+// A caller's own acked writes are visible, because a token's Wait returns
+// only after the write applied.
 
 // Len returns the number of keys in the engine's tree.
 func (e *Engine) Len() int { return e.tree.Len() }
@@ -66,41 +66,21 @@ func (e *Engine) Walk(fn func(key []byte, value uint64) bool) bool {
 }
 
 // beginScan stamps the scan into the engine's instruments: ops_scan now,
-// scan_rows at completion, and — when the tracer samples it — a lifecycle
-// span whose trace ID is the start key's hash (zero-length keys hash to
-// the same well-known ID). The returned func is called with the row count
-// when the scan finishes.
+// scan_rows at completion, and — when sample chose it — a lifecycle span
+// whose trace ID is the start key's hash (zero-length keys hash to the
+// same well-known ID). The returned func is called with the row count when
+// the scan finishes.
 func (e *Engine) beginScan(op string, startKey []byte) func(rows int) {
 	e.ms.Inc(metrics.CtrOpsScan)
-	tr := e.cfg.Tracer
-	j := e.cfg.Journal
-	traced := tr != nil && tr.Sample()
-	if !traced && j == nil {
-		return func(rows int) { e.ms.Add(metrics.CtrScanRows, int64(rows)) }
-	}
-	t0 := time.Now().UnixNano()
+	t0, _, traced := e.sample()
 	return func(rows int) {
 		e.ms.Add(metrics.CtrScanRows, int64(rows))
-		now := time.Now().UnixNano()
-		s := obs.Span{
-			TraceID:        hashKey(startKey),
-			Op:             op,
-			Worker:         -1, // executes on the caller, not a pipeline worker
-			Bucket:         -1,
-			SubmitUnixNano: t0,
-			BatchUnixNano:  t0,
-			DoneUnixNano:   now,
-			ExecNanos:      now - t0,
-			Layer:          "engine",
-			Stages: []obs.Stage{{
-				Name: "scan", StartUnixNano: t0, EndUnixNano: now,
-			}},
-		}
-		if traced {
-			tr.Record(s)
-		}
-		if j != nil {
-			j.Observe(s)
+		if traced || e.cfg.Journal != nil {
+			// Worker and bucket -1: a scan executes on the caller, not on a
+			// pipeline worker.
+			now := time.Now().UnixNano()
+			e.recordSpan(traced, op, hashKey(startKey), -1, -1, t0, t0, now,
+				[]obs.Stage{{Name: "scan", StartUnixNano: t0, EndUnixNano: now}})
 		}
 	}
 }

@@ -7,43 +7,37 @@ import (
 )
 
 // scTable is the worker-private Shortcut_Table: an open-addressed
-// linear-probe map from key hash to (key, leaf reference). It replaces a
-// Go map on the trigger hot path for the same reason the grouping table
-// does (worker.gtab): one probe is two compares on a flat slice, there is
-// no per-insert allocation in steady state, and the table never has to
-// hash — the key's hash is computed once at submit and carried in the
-// task.
+// linear-probe map from key hash to leaf reference. It replaces a Go map
+// on the trigger hot path for the same reason the grouping table does
+// (worker.gtab): one probe is two compares on a flat slice, there is no
+// per-insert allocation in steady state, and the table never has to hash —
+// the key's hash is computed once at submit and carried in the task.
 //
 // The table is keyed purely by hash: a hash collision between two live
-// keys resolves last-writer-wins, exactly like the previous map keyed by
-// uint64 (the caller verifies the stored key on every hit, so a collision
-// is just a miss). Deletes leave tombstones; probes skip them and inserts
-// reuse them.
+// keys resolves last-writer-wins (the caller verifies the leaf's own key on
+// every hit, so a collision is just a miss). The table stores no key bytes
+// of its own: a task's key belongs to its producer, who may reuse the
+// buffer the moment the token resolves, while the leaf's key is the tree's
+// immutable copy.
+//
+// Entries are never removed one by one. A deleted key's entry goes stale —
+// its leaf is obsolete, which every use of a leaf reference checks — and is
+// overwritten when the key returns or wiped with everything else at the
+// next epoch eviction (maintain).
 type scTable struct {
 	slots []scSlot
 	mask  uint64
-	live  int // live entries (excludes tombstones)
-	used  int // live + tombstones (bounds probe-chain growth)
+	live  int
 	// liveA mirrors live for cross-goroutine gauge reads (the obs layer's
 	// shortcut-occupancy gauge); only the owning worker writes it.
 	liveA atomic.Int64
 }
 
-// syncLive publishes live to the atomic mirror after a mutation.
-func (t *scTable) syncLive() { t.liveA.Store(int64(t.live)) }
-
+// scSlot is one table slot, empty while its leaf reference is invalid.
 type scSlot struct {
-	hash  uint64
-	state uint8 // 0 empty, 1 live, 2 tombstone
-	key   []byte
-	leaf  olc.LeafRef
+	hash uint64
+	leaf olc.LeafRef
 }
-
-const (
-	scEmpty uint8 = iota
-	scLive
-	scDead
-)
 
 // scInitSlots is the initial table size; the table doubles at 50% load so
 // light uses (unit tests, small keyspaces) stay small.
@@ -55,108 +49,57 @@ func newSCTable() *scTable {
 	return t
 }
 
-// get returns the live entry for hash, or nil.
+// get returns the entry for hash, or nil.
 func (t *scTable) get(hash uint64) *scSlot {
-	pos := hash & t.mask
-	for {
+	for pos := hash & t.mask; ; pos = (pos + 1) & t.mask {
 		s := &t.slots[pos]
 		switch {
-		case s.state == scEmpty:
+		case !s.leaf.Valid():
 			return nil
-		case s.state == scLive && s.hash == hash:
+		case s.hash == hash:
 			return s
 		}
-		pos = (pos + 1) & t.mask
 	}
 }
 
-// put inserts or overwrites the entry for hash and reports whether the
-// entry is new (the caller tracks population against ShortcutCap).
-func (t *scTable) put(hash uint64, key []byte, leaf olc.LeafRef) bool {
-	pos := hash & t.mask
-	var grave *scSlot
-	for {
+// put inserts or overwrites the entry for hash.
+func (t *scTable) put(hash uint64, leaf olc.LeafRef) {
+	for pos := hash & t.mask; ; pos = (pos + 1) & t.mask {
 		s := &t.slots[pos]
 		switch {
-		case s.state == scEmpty:
-			if grave != nil {
-				s = grave // reuse the tombstone; chain stays intact
-			} else {
-				t.used++
-			}
-			s.hash, s.state, s.key, s.leaf = hash, scLive, key, leaf
+		case !s.leaf.Valid():
+			s.hash, s.leaf = hash, leaf
 			t.live++
-			t.syncLive()
-			return true
-		case s.state == scLive && s.hash == hash:
-			s.key, s.leaf = key, leaf
-			return false
-		case s.state == scDead && grave == nil:
-			grave = s
+			t.liveA.Store(int64(t.live))
+			return
+		case s.hash == hash:
+			s.leaf = leaf
+			return
 		}
-		pos = (pos + 1) & t.mask
 	}
 }
 
-// del removes the live entry for hash, leaving a tombstone.
-func (t *scTable) del(hash uint64) {
-	pos := hash & t.mask
-	for {
-		s := &t.slots[pos]
-		switch {
-		case s.state == scEmpty:
-			return
-		case s.state == scLive && s.hash == hash:
-			s.state = scDead
-			s.key, s.leaf = nil, olc.LeafRef{}
-			t.live--
-			t.syncLive()
-			return
-		}
-		pos = (pos + 1) & t.mask
-	}
-}
-
-// maintain keeps the table healthy after an insert: past 50% occupancy it
-// either doubles (rehashing live entries, dropping tombstones) or — when
-// cap says the population itself is the problem — clears wholesale (the
-// epoch eviction the Config documents). Growth stops at the table size
-// that holds cap live entries at 50% load.
-func (t *scTable) maintain(cap int) {
-	if t.live >= cap {
-		t.clear()
+// maintain keeps the table healthy after an insert: at shortcutCap entries
+// it clears wholesale (epoch eviction, keeping the backing array);
+// otherwise it doubles at 50% occupancy, which stops by itself at the size
+// that holds shortcutCap entries at that load.
+func (t *scTable) maintain() {
+	if t.live >= shortcutCap {
+		clear(t.slots)
+		t.live = 0
+		t.liveA.Store(0)
 		return
 	}
-	if 2*t.used < len(t.slots) {
+	if 2*t.live < len(t.slots) {
 		return
-	}
-	newLen := 2 * len(t.slots)
-	if max := 2 * pow2AtLeast(cap); newLen > max {
-		// Table is as large as the cap ever needs; just drop tombstones.
-		newLen = len(t.slots)
 	}
 	old := t.slots
-	t.slots = make([]scSlot, newLen)
-	t.mask = uint64(newLen - 1)
-	t.live, t.used = 0, 0
+	t.slots = make([]scSlot, 2*len(old))
+	t.mask = uint64(len(t.slots) - 1)
+	t.live = 0
 	for i := range old {
-		if old[i].state == scLive {
-			t.put(old[i].hash, old[i].key, old[i].leaf)
+		if old[i].leaf.Valid() {
+			t.put(old[i].hash, old[i].leaf)
 		}
 	}
-}
-
-// clear drops every entry (epoch eviction), keeping the backing array.
-func (t *scTable) clear() {
-	clear(t.slots)
-	t.live, t.used = 0, 0
-	t.syncLive()
-}
-
-func pow2AtLeast(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }

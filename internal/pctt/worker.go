@@ -21,16 +21,16 @@ type worker struct {
 	e  *Engine
 	id int
 
-	// shortcuts is the private Shortcut_Table: key hash -> (key, leaf
-	// reference), an open-addressed flat table (see sctable.go). Leaf refs
-	// are the strongest shortcut the tree offers — two atomic loads
-	// instead of a full radix descent — and stay valid from the key's
-	// insert to its delete. Keying by the hash carried in the task keeps
-	// string hashing off the hot path; each hit verifies the stored key
-	// (collisions overwrite, last wins). The table clears wholesale past
-	// ShortcutCap (epoch eviction). When a bucket is stolen, the thief's
-	// table simply misses and re-populates — the lazy Shortcut_Table
-	// migration noted in steal.go.
+	// shortcuts is the private Shortcut_Table: key hash -> leaf reference,
+	// an open-addressed flat table (see sctable.go). Leaf refs are the
+	// strongest shortcut the tree offers — two atomic loads instead of a
+	// full radix descent — and stay valid from the key's insert to its
+	// delete. Keying by the hash carried in the task keeps string hashing
+	// off the hot path; each hit verifies the leaf's own key (collisions
+	// overwrite, last wins). The table clears wholesale past shortcutCap
+	// (epoch eviction). When a bucket is stolen, the thief's table simply
+	// misses and re-populates — the lazy Shortcut_Table migration noted in
+	// steal.go.
 	shortcuts *scTable
 
 	// hotset is the private hot-node residency set (software Tree_buffer):
@@ -57,10 +57,9 @@ type worker struct {
 	ops atomic.Int64
 
 	// beats is the progress heartbeat: bumped once per completed trigger
-	// batch (and once per bypass stream). The obs layer exports it as the
-	// dcart_pctt_worker_heartbeat gauge; a heartbeat that stops advancing
-	// while occupancy gauges are non-zero is the health engine's stalled
-	// signal.
+	// batch. The obs layer exports it as the dcart_pctt_worker_heartbeat
+	// gauge; a heartbeat that stops advancing while occupancy gauges are
+	// non-zero is the health engine's stalled signal.
 	beats atomic.Uint64
 
 	// wake unparks the worker; sleeping gates the producers' wake sends.
@@ -592,7 +591,7 @@ func (w *worker) locateBucket(bkt int32, groups []group) {
 	for gi := range groups {
 		g := &groups[gi]
 		nops += len(g.ops)
-		if s := w.shortcuts.get(g.hash); s != nil && bytes.Equal(s.key, g.ops[0].key) {
+		if s := w.shortcuts.get(g.hash); s != nil && bytes.Equal(s.leaf.Key(), g.ops[0].key) {
 			g.scHit, g.scLeaf = true, s.leaf // hash collision => miss
 			w.c.shortcutHit++
 			continue
@@ -613,7 +612,7 @@ func (w *worker) locateBucket(bkt int32, groups []group) {
 	var from olc.Ref
 	anchored := false
 	if w.hotset != nil {
-		if ref, path, ok := w.hotset.get(uint64(bkt)); ok && covers(w.lkeys, ref.Depth(), path) {
+		if ref, path, ok := w.hotset.get(int(bkt)); ok && covers(w.lkeys, ref.Depth(), path) {
 			from, anchored = ref, true
 		} else {
 			w.c.hotsetMiss++
@@ -628,7 +627,7 @@ func (w *worker) locateBucket(bkt int32, groups []group) {
 		// The anchor's node went obsolete under a structural change: drop
 		// the entry and redo the descent from the root.
 		w.c.hotsetInvalid++
-		w.hotset.invalidate(uint64(bkt))
+		w.hotset.invalidate(int(bkt))
 		from, anchored = olc.Ref{}, false
 		st, _ = tree.LocateBatch(from, w.e.anchorMaxDepth(), w.lkeys, locs)
 	}
@@ -641,7 +640,7 @@ func (w *worker) locateBucket(bkt int32, groups []group) {
 	if w.hotset != nil && st.Anchor.Valid() {
 		// Credit the whole bucket-batch population (shortcut hits included)
 		// to the anchor's value — the paper's bucket-population ranking.
-		if w.hotset.put(uint64(bkt), st.Anchor, w.lkeys[0], int64(nops)) {
+		if w.hotset.put(int(bkt), st.Anchor, w.lkeys[0], int64(nops)) {
 			w.c.hotsetEvict++
 		}
 	}
@@ -658,15 +657,25 @@ func (w *worker) locateBucket(bkt int32, groups []group) {
 // executing the group's key right now (a bucket runs on one worker at a
 // time, and a key maps to one bucket), so no other actor can change the
 // key's binding between the locate phase and the group's operations.
+//
+// Key bytes belong to the producers, who may reuse a key buffer the moment
+// its token resolves. A task's key is therefore read only before that task
+// completes: an insert takes the key of a write still pending, a read that
+// finds its cached leaf dead re-locates before it replies, and the
+// Shortcut_Table maintenance at the end needs no key at all.
 func (w *worker) execGroup(g *group) {
 	tree := w.e.tree
-	key := g.ops[0].key
+	bkt := int(g.bucket)
 
 	leaf, hasRef := g.scLeaf, g.scHit
 	if !hasRef && g.loc.Leaf.Valid() {
 		leaf, hasRef = g.loc.Leaf, true
 	}
 	refUsable := hasRef
+	// cache: leaf is not the reference the Shortcut_Table holds for this
+	// key (it came from the batch descent, or was re-located below), so a
+	// live one is stored when the group ends.
+	cache := !g.scHit
 
 	// Running per-key state: once haveCur is set, cur/curFound track the
 	// key's logical value through the group without touching the tree.
@@ -678,7 +687,6 @@ func (w *worker) execGroup(g *group) {
 	haveCur := false
 	locAbsent := g.located && !hasRef
 	dirty := false // cur holds an unflushed write
-	wrote := false // the group changed the key's binding or value
 	w.pending = w.pending[:0]
 
 	// flush applies the combined pending writes as one tree put and
@@ -697,7 +705,9 @@ func (w *worker) execGroup(g *group) {
 		if !refUsable {
 			// Insert: re-enter the tree at the batch descent's insert
 			// anchor; only a structural change at the anchor itself (or no
-			// anchor at all) pays a full root descent.
+			// anchor at all) pays a full root descent. The new leaf's
+			// reference serves the rest of the group and the table.
+			key := w.pending[0].key
 			done := false
 			if r := g.loc.Ins; r.Valid() {
 				replaced, done = tree.PutAt(r, key, cur)
@@ -706,6 +716,8 @@ func (w *worker) execGroup(g *group) {
 				replaced = tree.Put(key, cur)
 				w.c.fallback++
 			}
+			leaf, refUsable = tree.LocateLeaf(key)
+			cache = true
 		}
 		if n := len(w.pending) - 1; n > 0 {
 			// Coalesced writes beyond the first: counted as ops that
@@ -714,11 +726,7 @@ func (w *worker) execGroup(g *group) {
 			w.c.opsWrite += int64(n)
 		}
 		for i, t := range w.pending {
-			rep := replaced
-			if i > 0 {
-				rep = true
-			}
-			w.complete(t, taskResult{found: rep})
+			w.complete(t, taskResult{found: replaced || i > 0}, bkt)
 		}
 		w.pending = w.pending[:0]
 		dirty = false
@@ -742,7 +750,14 @@ func (w *worker) execGroup(g *group) {
 					// answered from that result, no own descent.
 					w.c.opsRead++
 				default:
-					cur, curFound = tree.Get(t.key)
+					// The cached leaf is dead: the key was deleted, and
+					// perhaps re-inserted, while another worker owned the
+					// bucket. One descent for the value, one for a fresh
+					// reference.
+					if cur, curFound = tree.Get(t.key); curFound {
+						leaf, refUsable = tree.LocateLeaf(t.key)
+						cache = true
+					}
 				}
 				haveCur = true
 			} else {
@@ -750,10 +765,10 @@ func (w *worker) execGroup(g *group) {
 				w.c.coalesced++
 				w.c.opsRead++
 			}
-			w.complete(t, taskResult{value: cur, found: curFound})
+			w.complete(t, taskResult{value: cur, found: curFound}, bkt)
 		case workload.Write:
 			cur, curFound, haveCur = t.value, true, true
-			dirty, wrote = true, true
+			dirty = true
 			w.pending = append(w.pending, t)
 		case workload.Delete:
 			// Deletes restructure; flush combined writes first, then go
@@ -761,31 +776,20 @@ func (w *worker) execGroup(g *group) {
 			flush()
 			deleted := tree.Delete(t.key)
 			cur, curFound, haveCur = 0, false, true
-			wrote = true
-			w.complete(t, taskResult{found: deleted})
+			refUsable = false // the key's leaf, if it had one, is obsolete now
+			w.complete(t, taskResult{found: deleted}, bkt)
 		}
 	}
 	flush()
 
-	// Maintain the Shortcut_Table. A live leaf the table did not already
-	// hold — a batch-located one, or one created by this group's insert —
-	// becomes an entry; a key that ended the group absent gets its entry
-	// dropped. The batch-located case costs no descent at all (the shared
-	// descent already produced the leaf ref); only an insert pays a
-	// LocateLeaf. A batch-located absence with no writes needs nothing.
-	switch {
-	case refUsable && !g.scHit:
-		w.shortcuts.put(g.hash, key, leaf)
-		w.shortcuts.maintain(w.e.cfg.ShortcutCap)
+	// A live leaf the Shortcut_Table does not hold becomes an entry, at no
+	// descent: the batch descent or the insert above already produced the
+	// reference. (A key that ended the group deleted keeps its stale entry;
+	// see scTable.)
+	if refUsable && cache {
+		w.shortcuts.put(g.hash, leaf)
+		w.shortcuts.maintain()
 		w.c.maintain++
-	case !refUsable && (wrote || !g.located):
-		if lr, ok := tree.LocateLeaf(key); ok {
-			w.shortcuts.put(g.hash, key, lr)
-			w.shortcuts.maintain(w.e.cfg.ShortcutCap)
-			w.c.maintain++
-		} else if g.scHit {
-			w.shortcuts.del(g.hash)
-		}
 	}
 }
 
@@ -830,11 +834,11 @@ func (w *worker) flushCounters() {
 	ms.Inc(metrics.CtrBatches)
 }
 
-// complete delivers a task's outcome: Run-mode read slot, Batcher reply,
+// complete delivers a task's outcome: Run-mode read slot, token reply,
 // completion accounting, the optional latency samples (end-to-end plus the
 // queue-wait/execute split around the batch's execStart), and the sampled
 // lifecycle span when the task was chosen for tracing.
-func (w *worker) complete(t *task, r taskResult) {
+func (w *worker) complete(t *task, r taskResult, bucket int) {
 	if t.res != nil {
 		*t.res = engine.ReadResult{Index: t.idx, Value: r.value, OK: r.found}
 	}
@@ -854,35 +858,46 @@ func (w *worker) complete(t *task, r taskResult) {
 			w.histExec.Observe(float64(now-w.execStart) * 1e-9)
 			w.histMu.Unlock()
 		}
-		j := w.e.cfg.Journal
-		if t.traced || j != nil {
-			bkt := w.e.shardOf(t.key)
-			s := obs.Span{
-				TraceID:        t.hash,
-				Op:             opName(t.kind),
-				Worker:         w.id,
-				Bucket:         bkt,
-				Migrated:       bkt%w.e.cfg.Workers != w.id,
-				SubmitUnixNano: t.enq,
-				BatchUnixNano:  w.execStart,
-				DoneUnixNano:   now,
-				QueueWaitNanos: wait,
-				ExecNanos:      now - w.execStart,
-				Layer:          "engine",
-				Stages:         engineStages(t.enq, w.execStart, w.groupEnd, w.locateEnd, now),
-			}
-			if t.traced {
-				if tr := w.e.cfg.Tracer; tr != nil {
-					tr.Record(s)
-				}
-			}
-			if j != nil {
-				j.Observe(s)
-			}
+		if t.traced || w.e.cfg.Journal != nil {
+			w.e.recordSpan(t.traced, opName(t.kind), t.hash, w.id, bucket,
+				t.enq, w.execStart, now,
+				engineStages(t.enq, w.execStart, w.groupEnd, w.locateEnd, now))
 		}
 	}
 	if t.done != nil {
 		t.done.Done()
+	}
+}
+
+// recordSpan is the one place an engine-layer span is built: it assembles
+// the span of an operation submitted at enq whose execution began at batch
+// and ended at done, and hands it to the tracer (when the tracer's sampler
+// chose the op) and to the slow-op journal (always, when armed). worker and
+// bucket are -1 for operations that run on the caller (scans).
+func (e *Engine) recordSpan(traced bool, op string, traceID uint64, worker, bucket int, enq, batch, done int64, stages []obs.Stage) {
+	wait := batch - enq
+	if wait < 0 {
+		wait = 0 // wall-clock stamps; guard against clock steps
+	}
+	s := obs.Span{
+		TraceID:        traceID,
+		Op:             op,
+		Worker:         worker,
+		Bucket:         bucket,
+		Migrated:       worker >= 0 && bucket%e.cfg.Workers != worker,
+		SubmitUnixNano: enq,
+		BatchUnixNano:  batch,
+		DoneUnixNano:   done,
+		QueueWaitNanos: wait,
+		ExecNanos:      done - batch,
+		Layer:          "engine",
+		Stages:         stages,
+	}
+	if traced {
+		e.cfg.Tracer.Record(s)
+	}
+	if j := e.cfg.Journal; j != nil {
+		j.Observe(s)
 	}
 }
 

@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/pctt"
 )
@@ -109,52 +111,95 @@ func TestAsyncPipelinedRYW(t *testing.T) {
 	}
 }
 
-// TestAsyncAfterClose verifies the synchronous fallback: tokens issued
-// after Close still complete with correct results.
-func TestAsyncAfterClose(t *testing.T) {
-	for name, st := range asyncStores(t) {
-		t.Run(name, func(t *testing.T) {
-			st.PutAsync([]byte("pre"), 7).Wait()
-			if err := st.Close(); err != nil {
+// TestCloseContract is the post-Close and ordering contract, one table over
+// every topology: tokens issued before (and while) Close runs all resolve,
+// blocking and async operations after Close return correct results, a
+// producer reads its own PutAsync through a later GetAsync on either side
+// of Close, and Close leaves no goroutine behind — Direct never starts one.
+func TestCloseContract(t *testing.T) {
+	topologies := []struct {
+		name string
+		open func() Store
+	}{
+		{"direct", func() Store { return NewDirect() }},
+		{"batched", func() Store { return NewBatched(pctt.Config{Workers: 2}) }},
+		{"sharded", func() Store {
+			return NewSharded(2, func(int) Store { return NewBatched(pctt.Config{Workers: 2}) })
+		}},
+	}
+	for _, tc := range topologies {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			st := tc.open()
+
+			// Read-your-writes across a window of unresolved tokens.
+			k := []byte("ryw")
+			put, get := st.PutAsync(k, 7), st.GetAsync(k)
+			if _, replaced := put.Wait(); replaced {
+				t.Fatal("PutAsync of a fresh key reported replaced")
+			}
+			if v, found := get.Wait(); !found || v != 7 {
+				t.Fatalf("GetAsync after PutAsync = (%d,%v), want (7,true)", v, found)
+			}
+			if _, direct := st.(*Direct); direct {
+				if n := runtime.NumGoroutine(); n > before {
+					t.Fatalf("Direct started goroutines: %d before, %d after async ops", before, n)
+				}
+			}
+
+			// Submissions racing Close: every issued token must resolve.
+			const n = 500
+			toks := make(chan Pending, n)
+			go func() {
+				defer close(toks)
+				for i := 0; i < n; i++ {
+					toks <- st.PutAsync([]byte(fmt.Sprintf("drain%03d", i)), uint64(i))
+				}
+			}()
+			closed := make(chan error, 1)
+			go func() { closed <- st.Close() }()
+			for tok := range toks {
+				tok.Wait() // must not hang
+			}
+			if err := <-closed; err != nil {
 				t.Fatalf("Close: %v", err)
 			}
+			if got := st.Len(); got != n+1 {
+				t.Fatalf("Len after drain = %d, want %d: a submission racing Close was lost", got, n+1)
+			}
+
+			// After Close: async and blocking calls still answer correctly.
 			if _, replaced := st.PutAsync([]byte("post"), 9).Wait(); replaced {
 				t.Fatal("post-close PutAsync reported replaced for a fresh key")
 			}
 			if v, found := st.GetAsync([]byte("post")).Wait(); !found || v != 9 {
-				t.Fatalf("post-close GetAsync=(%d,%v) want (9,true)", v, found)
+				t.Fatalf("post-close GetAsync = (%d,%v), want (9,true)", v, found)
 			}
-			if _, found := st.DeleteAsync([]byte("pre")).Wait(); !found {
+			if !st.Put([]byte("post"), 10) {
+				t.Fatal("post-close Put did not report replaced")
+			}
+			if v, found := st.Get([]byte("post")); !found || v != 10 {
+				t.Fatalf("post-close Get = (%d,%v), want (10,true)", v, found)
+			}
+			if _, found := st.DeleteAsync(k).Wait(); !found {
 				t.Fatal("post-close DeleteAsync missed a pre-close key")
 			}
-		})
-	}
-}
-
-// TestAsyncCloseDrains launches async submissions racing Close and checks
-// every issued token completes (no hang, no lost completion).
-func TestAsyncCloseDrains(t *testing.T) {
-	for name, st := range asyncStores(t) {
-		t.Run(name, func(t *testing.T) {
-			const n = 500
-			toks := make(chan Pending, n)
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					key := []byte(fmt.Sprintf("drain%03d", i))
-					toks <- st.PutAsync(key, uint64(i))
-				}
-				close(toks)
-			}()
-			go func() {
-				st.Close() // races the submissions
-			}()
-			for tok := range toks {
-				tok.Wait() // must not hang
+			if st.Delete(k) {
+				t.Fatal("post-close Delete found a key already deleted")
 			}
-			wg.Wait()
+			if err := st.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+
+			// Close waited for its workers; give the exited goroutines a
+			// moment to leave the runtime's count.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("goroutines: %d before open, %d after Close", before, n)
+			}
 		})
 	}
 }

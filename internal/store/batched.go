@@ -36,7 +36,7 @@ func (b *Batched) Get(key []byte) (uint64, bool)     { return b.e.Get(key) }
 func (b *Batched) Put(key []byte, value uint64) bool { return b.e.Put(key, value) }
 func (b *Batched) Delete(key []byte) bool            { return b.e.Delete(key) }
 
-// The async surface maps directly onto the engine's async Batcher calls:
+// The async surface maps directly onto the engine's async calls:
 // submissions from one goroutine enter their combine buckets in order, so
 // several of one producer's requests can share a combine window — the
 // whole point of pipelined submission.

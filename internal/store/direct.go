@@ -13,16 +13,12 @@ import (
 const ObsGroup = "store"
 
 // Direct executes every operation with one descent of the lock-coupling
-// concurrent ART — the baseline discipline the paper's CPU systems use.
-// Async submissions run on a lazily-started worker shim (see async.go)
-// so a pipelined producer is not serialized behind each descent.
+// concurrent ART — the baseline discipline the paper's CPU systems use,
+// and the store for callers who want no pipeline: it starts no goroutine,
+// and its async calls execute on the submitting goroutine.
 type Direct struct {
 	tree *olc.Tree
 	ms   *metrics.Set
-
-	shimOnce sync.Once
-	shim     *asyncShim
-	closed   atomic.Bool
 }
 
 // NewDirect returns an empty direct store with a private counter set.
@@ -43,53 +39,36 @@ func (d *Direct) Delete(key []byte) bool            { return d.tree.Delete(key) 
 func (d *Direct) Len() int                          { return d.tree.Len() }
 func (d *Direct) Walk(fn Visitor) bool              { return d.tree.Walk(fn) }
 
-// Close stops the async shim's workers (draining queued submissions first;
-// every issued token still completes). The store stays usable: blocking
-// calls are unaffected and later async calls execute synchronously.
-func (d *Direct) Close() error {
-	d.closed.Store(true)
-	// Claim the Once so a concurrent async call cannot start a fresh shim
-	// after we are done here.
-	d.shimOnce.Do(func() {})
-	if d.shim != nil {
-		d.shim.close()
-	}
-	return nil
-}
+// Close has nothing to stop; the store stays fully usable.
+func (d *Direct) Close() error { return nil }
 
-func (d *Direct) GetAsync(key []byte) Pending { return d.pend(shimGet, key, 0) }
+// The async calls execute inline and return a token that is already
+// resolved, so per-key submission order holds trivially.
+func (d *Direct) GetAsync(key []byte) Pending { return resolve(d.tree.Get(key)) }
 func (d *Direct) PutAsync(key []byte, value uint64) Pending {
-	return d.pend(shimPut, key, value)
+	return resolve(0, d.tree.Put(key, value))
 }
-func (d *Direct) DeleteAsync(key []byte) Pending { return d.pend(shimDelete, key, 0) }
+func (d *Direct) DeleteAsync(key []byte) Pending { return resolve(0, d.tree.Delete(key)) }
 
-func (d *Direct) pend(kind uint8, key []byte, value uint64) Pending {
-	if !d.closed.Load() {
-		if s := d.lazyShim(); s != nil {
-			op := shimOpPool.Get().(*shimOp)
-			op.kind, op.key, op.value = kind, key, value
-			return s.submit(op)
-		}
-	}
-	// Closed (or lost the creation race with Close): synchronous fallback.
-	switch kind {
-	case shimGet:
-		v, ok := d.tree.Get(key)
-		return resolved{value: v, found: ok}
-	case shimPut:
-		return resolved{found: d.tree.Put(key, value)}
-	default:
-		return resolved{found: d.tree.Delete(key)}
-	}
+// resolved is an already-completed Pending, pooled so that an inline
+// operation allocates nothing for its token.
+type resolved struct {
+	value uint64
+	found bool
 }
 
-func (d *Direct) lazyShim() *asyncShim {
-	d.shimOnce.Do(func() {
-		if !d.closed.Load() {
-			d.shim = newAsyncShim(d.tree)
-		}
-	})
-	return d.shim
+var resolvedPool = sync.Pool{New: func() any { return new(resolved) }}
+
+func resolve(value uint64, found bool) Pending {
+	r := resolvedPool.Get().(*resolved)
+	r.value, r.found = value, found
+	return r
+}
+
+func (r *resolved) Wait() (uint64, bool) {
+	v, ok := r.value, r.found
+	resolvedPool.Put(r)
+	return v, ok
 }
 
 func (d *Direct) Scan(prefix []byte, limit int, fn Visitor) bool {

@@ -5,7 +5,9 @@
 // registration — behind one interface with three implementations:
 //
 //   - Direct: the lock-coupling concurrent ART (internal/olc), one
-//     descent per operation — the paper's CPU-baseline discipline.
+//     descent per operation on the calling goroutine — the paper's
+//     CPU-baseline discipline, and the store for callers who want no
+//     pipeline.
 //   - Batched: the parallel Combine-Traverse-Trigger engine
 //     (internal/pctt); point operations coalesce in combine windows and
 //     scans route through the engine's scan path so they appear in its
@@ -58,7 +60,9 @@ type Store interface {
 	// reads its own write once both tokens resolve, the same
 	// read-your-writes contract the blocking calls give. Submission may
 	// block for backpressure when the store's pipeline is full; the key
-	// must not be mutated until the token's Wait returns.
+	// must not be mutated until the token's Wait returns, and is the
+	// caller's to reuse from then on. Direct has no pipeline: its async
+	// calls execute inline and return an already-resolved token.
 	GetAsync(key []byte) Pending
 	PutAsync(key []byte, value uint64) Pending
 	DeleteAsync(key []byte) Pending
