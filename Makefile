@@ -9,9 +9,9 @@ GO ?= go
 
 RACE_PKGS = ./internal/olc ./internal/pctt ./internal/store ./internal/kvserver ./internal/metrics ./internal/obs .
 
-.PHONY: check vet staticcheck build test race bench-module bench bench-batch bench-native bench-server benchdiff smoke-native smoke-diag smoke-shards smoke-pipeline smoke-health clean
+.PHONY: check vet staticcheck build test race allocs bench-module bench bench-batch bench-native bench-server benchdiff smoke-native smoke-diag smoke-shards smoke-pipeline smoke-health clean
 
-check: vet staticcheck build test race bench-module
+check: vet staticcheck build test race allocs bench-module
 
 vet:
 	$(GO) vet ./...
@@ -33,6 +33,13 @@ test:
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
+
+# Allocation budgets of the token path (testing.AllocsPerRun): 0 for a warm
+# engine token op and a batch descent, 1 — the stored key — for parsing a
+# point command, 0 for formatting its reply. Without -race, under which the
+# tests skip themselves (`make test` runs them too; this names them).
+allocs:
+	$(GO) test -count=1 -run 'AllocBudget' ./internal/pctt ./internal/store ./internal/kvserver ./internal/olc
 
 # The repository benchmark (BENCHMARK.json) builds from benchmark/, whose
 # files are frozen between benchmark PRs: vetting and testing it here is

@@ -22,7 +22,6 @@
 // Usage:
 //
 //	dcart-kv [-addr :7070] [-snapshot file] [-shards n] [-batch-workers n]
-//	         [-batch-max-delay 100us] [-batch-min-batch 64]
 //	         [-batch-queue-depth 4096] [-batch-max-inflight 16384]
 //	         [-batch-no-steal]
 //	         [-pipeline-depth 64] [-flush-every 32]
@@ -35,8 +34,8 @@
 // flow through the parallel Combine-Traverse-Trigger engine
 // (internal/pctt), which coalesces concurrent requests per key prefix
 // before touching the tree; the remaining -batch-* flags tune its
-// latency/throughput trade-off (combine-window deadline, backlog bounds,
-// work stealing — see internal/pctt.Config).
+// latency/throughput trade-off (backlog bounds, work stealing — see
+// internal/pctt.Config).
 //
 // With -shards > 1, the key space is partitioned across that many
 // independent sub-stores by the top key bytes (internal/store.Sharded,

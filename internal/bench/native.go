@@ -32,7 +32,7 @@ import (
 // every 16th operation on both sides; P-CTT latency is additionally
 // broken down into queue wait (true submit until the operation's trigger
 // batch began) and execute time (batch begin until completion), the
-// deadline-driven pipeline's two phases. With Options.JSONPath set, a
+// pipeline's two phases. With Options.JSONPath set, a
 // machine-readable report is also written.
 func Native(o Options) error {
 	o = o.defaults()

@@ -162,9 +162,9 @@ func NewBatched(workers int) *Server {
 }
 
 // NewBatchedConfig is NewBatched with the full engine configuration
-// exposed — combine-window deadline (MaxDelay/MinBatch), queue shaping
-// (QueueDepth/MaxInflight), and work stealing (NoSteal) — for servers that
-// tune the latency/throughput trade-off per deployment.
+// exposed — queue shaping (QueueDepth/MaxInflight) and work stealing
+// (NoSteal) — for servers that tune the latency/throughput trade-off per
+// deployment.
 func NewBatchedConfig(cfg pctt.Config) *Server {
 	return NewStore(store.NewBatched(cfg))
 }
@@ -323,8 +323,9 @@ func (s *Server) SetMaxScanLimit(n int) {
 	}
 }
 
-// storedKey appends the 0x00 terminator so client keys are prefix-safe.
-func storedKey(tok string) []byte {
+// storedKey appends the 0x00 terminator so client keys are prefix-safe. The
+// copy is what lets the key outlive the read buffer tok aliases.
+func storedKey(tok []byte) []byte {
 	k := make([]byte, len(tok)+1)
 	copy(k, tok)
 	return k
@@ -395,8 +396,6 @@ func (c *connState) scanEnd(clipped, truncated bool) {
 		c.line("END")
 	}
 }
-
-func uintStr(v uint64) string { return strconv.FormatUint(v, 10) }
 
 // Serve handles one connection until QUIT, EOF, or a write error. With a
 // pipeline depth above 1 (the default) the connection runs the pipelined
@@ -532,7 +531,11 @@ func (s *Server) submit(cmd command) store.Pending {
 func (c *connState) reply(kind cmdKind, value uint64, found bool) {
 	switch {
 	case kind == cmdGet && found:
-		c.line("VALUE", uintStr(value))
+		b := append(c.scratch[:0], "VALUE "...)
+		b = strconv.AppendUint(b, value, 10)
+		b = append(b, '\n')
+		c.scratch = b
+		c.w.Write(b)
 	case kind == cmdPut && found:
 		c.line("OK replaced")
 	case kind == cmdPut, kind == cmdDelete && found:

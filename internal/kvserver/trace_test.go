@@ -43,7 +43,7 @@ func TestWireSpanWaterfall(t *testing.T) {
 		t.Fatalf("GET: %q", got)
 	}
 
-	id := pctt.HashKey(storedKey("alpha"))
+	id := pctt.HashKey(storedKey([]byte("alpha")))
 	var spans []obs.Span
 	waitSpans(t, func() bool {
 		spans = tr.SpansFor(id)
@@ -160,7 +160,7 @@ func TestLockstepWireSpans(t *testing.T) {
 		t.Fatalf("GET: %q", got)
 	}
 
-	id := pctt.HashKey(storedKey("beta"))
+	id := pctt.HashKey(storedKey([]byte("beta")))
 	var spans []obs.Span
 	waitSpans(t, func() bool {
 		spans = tr.SpansFor(id)

@@ -59,8 +59,10 @@ const (
 	// CtrBucketHandoffs counts combine buckets re-homed to a parked peer
 	// when they re-queued while still hot (P-CTT push handoff).
 	CtrBucketHandoffs = "bucket_handoffs"
-	// CtrWindowDeferrals counts combine windows set aside until their
-	// MaxDelay deadline because they held fewer than MinBatch operations.
+	// CtrWindowDeferrals counted combine windows a worker set aside to wait
+	// out a deadline. P-CTT no longer defers (a window is the time the
+	// worker was busy), so nothing increments it; the name stays because
+	// recorded reports and the repository benchmark read it.
 	CtrWindowDeferrals = "window_deferrals"
 	// CtrOffchipBytes counts bytes moved over the off-chip interface.
 	CtrOffchipBytes = "offchip_bytes"

@@ -2,7 +2,7 @@ package olc
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -76,10 +76,11 @@ type BatchStats struct {
 
 // LocateBatch resolves every key's location in one shared descent.
 //
-// keys need not be sorted or distinct (the descent sorts an index
-// permutation internally); locs must have at least len(keys) entries and
-// is fully overwritten. A key that is absent gets a zero Leaf but still a
-// valid Ins anchor when one exists.
+// keys need not be sorted or distinct: the descent sorts an index
+// permutation in idx, scratch the caller owns and reuses so that a descent
+// allocates nothing. locs and idx must each have at least len(keys)
+// entries and are overwritten. A key that is absent gets a zero Leaf but
+// still a valid Ins anchor when one exists.
 //
 // from, when valid, starts the descent at a previously cached anchor
 // instead of the root. The caller must guarantee every key's path passes
@@ -93,7 +94,7 @@ type BatchStats struct {
 // re-derive anchors from key distributions (one per combine bucket) keep
 // it at the bucket-label depth so a cached anchor never over-commits to a
 // subtree narrower than the bucket.
-func (t *Tree) LocateBatch(from Ref, anchorMaxDepth int, keys [][]byte, locs []BatchLoc) (BatchStats, bool) {
+func (t *Tree) LocateBatch(from Ref, anchorMaxDepth int, keys [][]byte, locs []BatchLoc, idx []int) (BatchStats, bool) {
 	var st BatchStats
 	if len(keys) == 0 {
 		return st, true
@@ -135,13 +136,11 @@ func (t *Tree) LocateBatch(from Ref, anchorMaxDepth int, keys [][]byte, locs []B
 	// Sorted index permutation: prefix-sharing keys become contiguous, so
 	// the descent partitions them into per-child runs with one linear scan
 	// per node.
-	idx := make([]int, len(keys))
+	idx = idx[:len(keys)]
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return bytes.Compare(keys[idx[a]], keys[idx[b]]) < 0
-	})
+	slices.SortFunc(idx, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
 
 	st.SharedDescents = 1
 	t.visitBatch(n, depth, keys, idx, locs, &st, len(keys), anchorMaxDepth)
@@ -237,7 +236,7 @@ func (t *Tree) visitBatch(n *node, depth int, keys [][]byte, idx []int,
 // between the descent and its read falls back to a per-key Get.
 func (t *Tree) GetBatch(keys [][]byte, out []BatchResult) BatchStats {
 	locs := make([]BatchLoc, len(keys))
-	st, _ := t.LocateBatch(Ref{}, 0, keys, locs)
+	st, _ := t.LocateBatch(Ref{}, 0, keys, locs, make([]int, len(keys)))
 	for i, k := range keys {
 		if l := locs[i].Leaf; l.Valid() {
 			if v, ok := t.GetLeaf(l); ok {
@@ -269,7 +268,7 @@ func (t *Tree) ApplyBatch(ops []BatchOp, out []BatchResult) BatchStats {
 		keys[i] = ops[i].Key
 	}
 	locs := make([]BatchLoc, len(ops))
-	st, _ := t.LocateBatch(Ref{}, 0, keys, locs)
+	st, _ := t.LocateBatch(Ref{}, 0, keys, locs, make([]int, len(ops)))
 
 	// dirty marks keys whose tree location changed during this batch
 	// (insert or delete): their cached locs are stale, so later operations

@@ -92,7 +92,8 @@ func BenchmarkBatchDescentApplyPerOp(b *testing.B) {
 func BenchmarkBatchDescentAnchored(b *testing.B) {
 	tr, keys := benchBatchTree(b)
 	locs := make([]BatchLoc, len(keys))
-	st, ok := tr.LocateBatch(Ref{}, 16, keys, locs)
+	idx := make([]int, len(keys))
+	st, ok := tr.LocateBatch(Ref{}, 16, keys, locs, idx)
 	if !ok || !st.Anchor.Valid() {
 		b.Skip("no common anchor for this key shape")
 	}
@@ -100,7 +101,7 @@ func BenchmarkBatchDescentAnchored(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tr.LocateBatch(anchor, 16, keys, locs); !ok {
+		if _, ok := tr.LocateBatch(anchor, 16, keys, locs, idx); !ok {
 			b.Fatal("anchor went stale")
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // TestGetBatchBasic: present keys, absent keys, duplicates, and keys that
@@ -122,7 +124,8 @@ func TestLocateBatchAnchor(t *testing.T) {
 		[]byte("shared:03"), []byte("shared:17"), []byte("shared:42"),
 	}
 	locs := make([]BatchLoc, len(keys))
-	st, ok := tr.LocateBatch(Ref{}, 16, keys, locs)
+	idx := make([]int, len(keys))
+	st, ok := tr.LocateBatch(Ref{}, 16, keys, locs, idx)
 	if !ok || st.SharedDescents != 1 {
 		t.Fatalf("root locate: ok=%v st=%+v", ok, st)
 	}
@@ -137,7 +140,7 @@ func TestLocateBatchAnchor(t *testing.T) {
 
 	anchor := st.Anchor
 	locs2 := make([]BatchLoc, len(keys))
-	st2, ok := tr.LocateBatch(anchor, 16, keys, locs2)
+	st2, ok := tr.LocateBatch(anchor, 16, keys, locs2, idx)
 	if !ok {
 		t.Fatal("anchored locate refused a live anchor")
 	}
@@ -157,7 +160,7 @@ func TestLocateBatchAnchor(t *testing.T) {
 	// the stale anchor is refused (insert keys that grow nodes on the
 	// shared path).
 	anchor.n.obsolete.Store(true) // simulate the replacement directly
-	if _, ok := tr.LocateBatch(anchor, 16, keys, locs2); ok {
+	if _, ok := tr.LocateBatch(anchor, 16, keys, locs2, idx); ok {
 		t.Fatal("locate accepted an obsolete anchor")
 	}
 	anchor.n.obsolete.Store(false)
@@ -334,4 +337,38 @@ func TestBatchConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestAllocBudgetLocateBatch: with caller-owned locs and idx scratch a
+// shared descent allocates nothing, from the root or from an anchor.
+func TestAllocBudgetLocateBatch(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	tr := New(nil)
+	var keys [][]byte
+	for i := 0; i < 1024; i++ {
+		k := []byte(fmt.Sprintf("ip:%02x:%04d", i%64, i))
+		tr.Put(k, uint64(i))
+		if i%16 == 0 {
+			keys = append(keys, k)
+		}
+	}
+	locs := make([]BatchLoc, len(keys))
+	idx := make([]int, len(keys))
+	st, _ := tr.LocateBatch(Ref{}, 16, keys, locs, idx)
+	for _, from := range []Ref{{}, st.Anchor} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, ok := tr.LocateBatch(from, 16, keys, locs, idx); !ok {
+				t.Fatal("descent refused")
+			}
+		}); n != 0 {
+			t.Errorf("LocateBatch from %+v: %v allocs/op, want 0", from, n)
+		}
+	}
+	for i, k := range keys {
+		if !locs[i].Leaf.Valid() {
+			t.Fatalf("key %q not located", k)
+		}
+	}
 }

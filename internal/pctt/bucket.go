@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Bucket states. Transitions (always under bucket.mu):
@@ -25,29 +24,28 @@ const (
 )
 
 // bucket is one combine bucket: all keys sharing a prefixBits-bit prefix.
-// It is the unit of batching, of deadline accounting (windowStart opens
-// when the first op arrives), and of work stealing (a bucket moves between
-// workers whole).
+// It is the unit of batching and of work stealing (a bucket moves between
+// workers whole). Its combine window has no clock: whatever arrives while
+// the bucket waits in a ring or while its worker executes the previous
+// batch is the next batch.
 //
-// The backlog is a FIFO list of task chunks whose ownership producers hand
-// over at submit — the tasks themselves are copied exactly once on their
-// way through the pipeline (chunk into the executing worker's batch), and
-// the resident pointer-bearing memory the collector must scan stays
-// bounded by the in-flight window rather than by high-water backlogs.
+// The backlog is a FIFO list of task chunks. Run hands over whole chunks
+// it filled; a token operation is appended to the open tail chunk (submit),
+// so a chunk is fetched per batch, not per operation. Either way a task is
+// constructed once, in the chunk it executes from, and the resident
+// pointer-bearing memory the collector must scan stays bounded by the
+// in-flight window rather than by high-water backlogs: a worker takes
+// whole chunks, so an idle bucket holds none.
 type bucket struct {
 	mu     sync.Mutex
 	cond   sync.Cond // producers waiting for backlog space
-	chunks [][]task  // FIFO backlog; chunk ownership passes to the bucket
+	chunks []*chunk  // FIFO backlog; the last one is the open tail
 	nops   int       // total tasks across chunks
 	// state is written only under mu (the transitions above) but stored
 	// atomically so the observability layer can read live idle/queued/
 	// running gauge counts without taking nBuckets bucket locks.
-	state atomic.Int32
-	// windowStart is the unix-nano time the current combine window opened
-	// (idle->queued transition or post-execution re-queue); the deadline
-	// MaxDelay is measured from here.
-	windowStart int64
-	waiters     int
+	state   atomic.Int32
+	waiters int
 	// owner is the worker whose ring receives this bucket's queue events.
 	// It starts at bucketID mod Workers and is re-recorded on every steal
 	// or handoff; Shortcut_Table entries migrate lazily (the new owner
@@ -55,33 +53,62 @@ type bucket struct {
 	owner int32
 }
 
-// submitChunk appends a pre-sharded run of tasks to the bucket's backlog,
-// taking ownership of the chunk (the executing worker recycles it).
-// Backpressure is two-level: the global MaxInflight gate bounds total
-// queue wait, and the per-bucket QueueDepth cap keeps any one hot bucket
-// from absorbing the whole allowance.
-func (e *Engine) submitChunk(shard int, chunk []task) {
+// admit passes n operations through both levels of backpressure — the
+// global MaxInflight gate bounds total queue wait, the per-bucket
+// QueueDepth cap keeps any one hot bucket from absorbing the whole
+// allowance — and returns the bucket locked, for the caller to append to
+// its backlog and publish.
+func (e *Engine) admit(shard, n int) *bucket {
 	b := &e.buckets[shard]
 	e.inflightGate()
-	e.inflight.Add(int64(len(chunk)))
+	e.inflight.Add(int64(n))
 	b.mu.Lock()
 	for b.nops >= e.cfg.QueueDepth {
 		b.waiters++
 		b.cond.Wait()
 		b.waiters--
 	}
-	b.chunks = append(b.chunks, chunk)
-	b.nops += len(chunk)
+	b.nops += n
+	return b
+}
+
+// publish unlocks a bucket whose backlog the caller just extended and, on
+// the idle->queued transition, schedules it on its owner's ring.
+func (e *Engine) publish(shard int, b *bucket) {
 	notify := int32(-1)
 	if b.state.Load() == bIdle {
 		b.state.Store(bQueued)
-		b.windowStart = time.Now().UnixNano()
 		notify = b.owner
 	}
 	b.mu.Unlock()
 	if notify >= 0 {
 		e.enqueueBucket(int(notify), int32(shard))
 	}
+}
+
+// submitChunk appends a pre-sharded run of tasks to the bucket's backlog,
+// taking ownership of the chunk (the executing worker recycles it).
+func (e *Engine) submitChunk(shard int, c *chunk) {
+	b := e.admit(shard, len(c.t))
+	b.chunks = append(b.chunks, c)
+	e.publish(shard, b)
+}
+
+// submitTask appends one task to the bucket's open tail chunk, fetching a
+// chunk only when the backlog is empty or its tail is full. A worker takes
+// chunks whole and under the same lock, so a chunk still listed here is
+// not executing.
+func (e *Engine) submitTask(shard int, t task) {
+	b := e.admit(shard, 1)
+	var c *chunk
+	if n := len(b.chunks); n > 0 && len(b.chunks[n-1].t) < cap(b.chunks[n-1].t) {
+		c = b.chunks[n-1]
+	} else {
+		c = e.getChunk()
+		b.chunks = append(b.chunks, c)
+	}
+	c.t = append(c.t, t)
+	e.publish(shard, b)
 }
 
 // inflightGate applies the global MaxInflight bound: a producer yields the

@@ -10,10 +10,6 @@ import "flag"
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Workers, "batch-workers", 0,
 		"route point ops through the parallel CTT engine with n workers (0 = direct)")
-	fs.DurationVar(&c.MaxDelay, "batch-max-delay", 0,
-		"combine-window deadline: a request waits at most this long for peers to coalesce with (0 = engine default 100µs, negative disables deferral)")
-	fs.IntVar(&c.MinBatch, "batch-min-batch", 0,
-		"combine-window fill target: buckets at or above this execute immediately (0 = engine default 64)")
 	fs.IntVar(&c.QueueDepth, "batch-queue-depth", 0,
 		"per-bucket backlog bound in operations (0 = engine default 4096)")
 	fs.IntVar(&c.MaxInflight, "batch-max-inflight", 0,

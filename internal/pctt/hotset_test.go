@@ -14,7 +14,7 @@ import (
 func anchorFor(t *testing.T, tr *olc.Tree, keys [][]byte) olc.Ref {
 	t.Helper()
 	locs := make([]olc.BatchLoc, len(keys))
-	st, ok := tr.LocateBatch(olc.Ref{}, 16, keys, locs)
+	st, ok := tr.LocateBatch(olc.Ref{}, 16, keys, locs, make([]int, len(keys)))
 	if !ok {
 		t.Fatal("root LocateBatch reported a stale anchor")
 	}

@@ -9,11 +9,11 @@
 //     bits of the key (after the loaded key set's common prefix, as in
 //     internal/ctt) into combine buckets. A bucket accumulates a FIFO
 //     backlog and is scheduled onto a worker through a bounded lock-free
-//     MPMC ring of bucket IDs. Batch formation is deadline-driven: a
-//     bucket's combine window closes when it holds MinBatch operations or
-//     when MaxDelay has elapsed since the window opened, whichever comes
-//     first — so light load executes near-immediately while moderate load
-//     still coalesces.
+//     MPMC ring of bucket IDs. Batch formation has no timer: a bucket's
+//     combine window is exactly the time its worker was busy — batch N+1
+//     accumulates while batch N executes (the PCU/SOU overlap of the
+//     paper's Fig 6) — so an idle engine executes at once and a loaded
+//     one coalesces whatever arrived meanwhile.
 //   - Traverse — a worker swaps out a bucket's whole backlog as one
 //     trigger batch, coalesces it into per-key groups, and locates each
 //     group's target node once: via its private, lock-free Shortcut_Table
@@ -92,18 +92,6 @@ type Config struct {
 	// from instead of the root — the software Tree_buffer analogue. Default
 	// 64 anchors per worker; negative disables the hotset entirely.
 	HotsetCap int
-	// MaxDelay is the combine-window deadline (default 100µs; negative
-	// disables deferral). A popped bucket holding fewer than MinBatch
-	// operations may be set aside — while the worker runs other ready
-	// buckets — until MaxDelay has elapsed since its window opened. The
-	// per-worker deadline timer is armed only while such deferred windows
-	// exist; an otherwise-idle worker executes immediately, so light load
-	// degenerates to near-direct latency.
-	MaxDelay time.Duration
-	// MinBatch is the combine-window fill target (default 64; 1 disables
-	// deferral): buckets at or above it execute as soon as they are
-	// popped.
-	MinBatch int
 	// NoSteal disables whole-bucket work stealing and handoff, pinning
 	// every bucket to its home worker (bucket mod Workers).
 	NoSteal bool
@@ -157,14 +145,6 @@ func (c Config) Defaults() Config {
 		c.HotsetCap = 64
 	} else if c.HotsetCap < 0 {
 		c.HotsetCap = 0 // disabled; newHotset returns nil
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 100 * time.Microsecond
-	} else if c.MaxDelay < 0 {
-		c.MaxDelay = 0
-	}
-	if c.MinBatch <= 0 {
-		c.MinBatch = 64
 	}
 	return c
 }
@@ -222,9 +202,11 @@ type task struct {
 	traced bool
 }
 
-// replyPool recycles Pending reply channels.
-var replyPool = sync.Pool{
-	New: func() any { return make(chan taskResult, 1) },
+// chunk is a run of tasks of one combine bucket: the unit producers hand
+// to a bucket's backlog and workers gather into a trigger batch. Chunks are
+// pooled by pointer, so recycling one allocates nothing.
+type chunk struct {
+	t []task // capacity Config.ChunkSize, never grown
 }
 
 // Engine is the parallel CTT engine. Construct with New; call Close to
@@ -244,13 +226,14 @@ type Engine struct {
 	rings   []*ring
 	workers []*worker
 
-	// chunkPool recycles task chunks between workers (which drain them)
-	// and submitters (which fill them). The population is bursty — every
-	// dispatch stripe can hand fresh chunks to hundreds of cold buckets —
-	// so an unbounded sync.Pool, not a fixed-capacity freelist: a capped
-	// list that can't absorb the whole in-flight chunk population turns
-	// most gets into fresh multi-KB zeroed allocations, enough pressure
-	// to keep the collector running continuously.
+	// chunkPool recycles task chunks (*chunk) between workers (which drain
+	// them) and submitters (which fill them). The population is bursty —
+	// every dispatch stripe can hand fresh chunks to hundreds of cold
+	// buckets — so an unbounded sync.Pool, not a fixed-capacity freelist: a
+	// capped list that can't absorb the whole in-flight chunk population
+	// turns most gets into fresh multi-KB zeroed allocations, enough
+	// pressure to keep the collector running continuously. Idle buckets
+	// hold no chunk, so the collector reclaims the lot when traffic stops.
 	chunkPool sync.Pool
 
 	// idleMask advertises parked workers (bit per worker) for the handoff
@@ -281,20 +264,19 @@ func New(cfg Config) *Engine {
 		tree: olc.New(ms),
 		ms:   ms,
 	}
-	e.chunkPool.New = func() any { return make([]task, 0, e.cfg.ChunkSize) }
+	e.chunkPool.New = func() any { return &chunk{t: make([]task, 0, e.cfg.ChunkSize)} }
 	return e
 }
 
 // getChunk returns an empty task chunk, recycled when possible.
-func (e *Engine) getChunk() []task {
-	return e.chunkPool.Get().([]task)[:0]
-}
+func (e *Engine) getChunk() *chunk { return e.chunkPool.Get().(*chunk) }
 
-// putChunk returns a drained chunk to the pool. The caller must have
-// cleared its tasks first (clearTasks) so the pool holds no key or reply
-// references.
-func (e *Engine) putChunk(c []task) {
-	e.chunkPool.Put(c[:0]) //nolint:staticcheck // slice header boxing is fine here
+// putChunk clears a drained chunk's tasks — so the pool holds no key,
+// reply or done references — and recycles it.
+func (e *Engine) putChunk(c *chunk) {
+	clear(c.t)
+	c.t = c.t[:0]
+	e.chunkPool.Put(c)
 }
 
 // Name implements engine.Engine.
@@ -455,14 +437,14 @@ func (e *Engine) Run(ops []workload.Op) *engine.Result {
 // buffering is bounded for cold buckets too. Caller holds e.mu.RLock.
 func (e *Engine) dispatch(ops []workload.Op, slots []engine.ReadResult) {
 	var wg sync.WaitGroup
-	open := make([][]task, nBuckets)
+	open := make([]*chunk, nBuckets)
 	dirty := make([]int, 0, 64) // buckets with a non-empty open chunk
 	flush := func(s int) {
 		c := open[s]
-		if len(c) == 0 {
+		if c == nil {
 			return
 		}
-		wg.Add(len(c))
+		wg.Add(len(c.t))
 		e.submitChunk(s, c) // chunk ownership passes to the bucket
 		open[s] = nil
 	}
@@ -472,6 +454,7 @@ func (e *Engine) dispatch(ops []workload.Op, slots []engine.ReadResult) {
 		c := open[s]
 		if c == nil {
 			c = e.getChunk()
+			open[s] = c
 			dirty = append(dirty, s)
 		}
 		t := task{
@@ -482,9 +465,8 @@ func (e *Engine) dispatch(ops []workload.Op, slots []engine.ReadResult) {
 			t.res = &slots[i]
 		}
 		t.enq, t.lat, t.traced = e.sample()
-		c = append(c, t)
-		open[s] = c
-		if len(c) >= e.cfg.ChunkSize {
+		c.t = append(c.t, t)
+		if len(c.t) == cap(c.t) {
 			flush(s)
 		}
 		if (i+1)%dispatchStripe == 0 {

@@ -3,6 +3,7 @@ package pctt
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -283,6 +284,15 @@ func TestCloseThenUse(t *testing.T) {
 	}
 }
 
+// settle waits until the workers have finished the batches behind every
+// completed operation: a batch publishes its counters after it has answered
+// its last task, so Run or Wait can return a moment before they land.
+func settle(e *Engine) {
+	for e.InflightOps() != 0 {
+		runtime.Gosched()
+	}
+}
+
 // TestCoalescingCounters: a hot-key stream must coalesce and populate the
 // shortcut table. NoSteal keeps the hot bucket on the worker whose table
 // the first run populated.
@@ -304,6 +314,7 @@ func TestCoalescingCounters(t *testing.T) {
 		}
 	}
 	e.Run(ops)
+	settle(e)
 	if c := e.Metrics().Get("coalesced_ops"); c == 0 {
 		t.Fatal("hot-key stream produced no coalescing")
 	}
@@ -311,6 +322,7 @@ func TestCoalescingCounters(t *testing.T) {
 		t.Fatalf("final hot value = (%d,%v), want 1022", v, ok)
 	}
 	e.Run(ops) // second run should hit the shortcut table
+	settle(e)
 	if h := e.Metrics().Get("shortcut_hit"); h == 0 {
 		t.Fatal("no shortcut hits on re-run")
 	}

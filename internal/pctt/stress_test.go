@@ -48,16 +48,12 @@ func stressKey(slot uint64, g, ki int) []byte {
 
 // stressConfig forces many small trigger batches so the home worker's ring
 // keeps a standing backlog — the state that engages both migration
-// mechanisms (ring-backlog steals and re-queue handoffs). Window deferral
-// is disabled (MaxDelay < 0): deferred windows live in a worker-private
-// list invisible to thieves, and this test is about the stealing layer,
-// not the deadline layer.
+// mechanisms (ring-backlog steals and re-queue handoffs).
 func stressConfig(noSteal bool) Config {
 	return Config{
 		Workers:   stressWorkers,
 		BatchSize: 16,
 		ChunkSize: 8,
-		MaxDelay:  -1,
 		NoSteal:   noSteal,
 	}
 }

@@ -19,22 +19,21 @@ import (
 // holds — a producer that submits W(k,v) then R(k) observes v once both
 // tokens resolve, whether or not it waited in between.
 type Pending struct {
+	// reply delivers the outcome (buffered 1, so the worker never blocks).
+	// The token owns it for life: between Wait and the next submit it is
+	// empty, and one pool round-trip recycles both.
 	reply chan taskResult
-	res   taskResult
 }
 
-var pendingPool = sync.Pool{New: func() any { return new(Pending) }}
+var pendingPool = sync.Pool{
+	New: func() any { return &Pending{reply: make(chan taskResult, 1)} },
+}
 
 // Wait blocks until the operation has applied. The returned pair is
 // (value, present) for Get, (_, replaced) for Put, and (_, present) for
 // Delete.
 func (p *Pending) Wait() (uint64, bool) {
-	if p.reply != nil {
-		p.res = <-p.reply
-		replyPool.Put(p.reply)
-	}
-	r := p.res
-	p.reply, p.res = nil, taskResult{}
+	r := <-p.reply
 	pendingPool.Put(p)
 	return r.value, r.found
 }
@@ -74,7 +73,7 @@ func (e *Engine) Delete(key []byte) bool {
 }
 
 // submit is the one entry to the pipeline for a point operation: the task
-// joins its combine bucket as a single-task chunk and the caller gets its
+// joins its combine bucket's open tail chunk and the caller gets its
 // completion token. The key hash is computed here, on the caller's
 // goroutine, and carried in the task so the worker's grouping and
 // Shortcut_Table lookups never re-hash. Submission may block on the
@@ -92,12 +91,11 @@ func (e *Engine) submit(t task) *Pending {
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
-		p.res = e.direct(t)
+		p.reply <- e.direct(t)
 		return p
 	}
-	p.reply = replyPool.Get().(chan taskResult)
 	t.reply = p.reply
-	e.submitChunk(e.shardOf(t.key), append(e.getChunk(), t))
+	e.submitTask(e.shardOf(t.key), t)
 	e.mu.RUnlock()
 	return p
 }

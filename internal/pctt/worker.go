@@ -2,6 +2,7 @@ package pctt
 
 import (
 	"bytes"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,18 +66,12 @@ type worker struct {
 	// wake unparks the worker; sleeping gates the producers' wake sends.
 	wake     chan struct{}
 	sleeping atomic.Bool
-	timer    *time.Timer
-
-	// deferred holds combine windows set aside until their MaxDelay
-	// deadline (buckets popped with fewer than MinBatch ops). The park
-	// timer is armed only while this list is non-empty.
-	deferred []deferredWindow
 
 	// batch scratch, reused across batches. The trigger batch is the
 	// gathered chunks themselves — tasks execute in place and are never
 	// copied out of the chunk a producer filled (the pipeline's only task
 	// copy is the producer's construction into that chunk).
-	bchunks   [][]task // the trigger batch: chunks gathered from ready buckets
+	bchunks   []*chunk // the trigger batch: chunks gathered from ready buckets
 	bchunkBkt []int32  // bucket ID per gathered chunk (parallel to bchunks)
 	bn        int      // total operations across bchunks
 	runIDs    []int32  // buckets whose backlogs the current batch gathered
@@ -86,10 +81,11 @@ type worker struct {
 
 	// locate-phase scratch (reused across batches): the scTable-miss groups
 	// of the bucket currently being located, their keys, and the per-key
-	// locations one shared LocateBatch descent fills in.
+	// locations and sort permutation of one shared LocateBatch descent.
 	lgroups []*group
 	lkeys   [][]byte
 	llocs   []olc.BatchLoc
+	lidx    []int
 
 	// execStart is the unix-nano begin of the current trigger batch
 	// (latency attribution point between queue wait and execute).
@@ -104,12 +100,6 @@ type worker struct {
 	// the shared metrics.Set once per batch (an Inc per operation would put
 	// a map lookup plus an atomic RMW on the hot path).
 	c batchCounters
-}
-
-// deferredWindow is a combine window waiting out its deadline.
-type deferredWindow struct {
-	id       int32
-	deadline int64 // unix nanos
 }
 
 // batchCounters mirrors the counters the execute phases touch.
@@ -142,8 +132,8 @@ type group struct {
 
 // gslot is one open-addressed grouping-table slot; gi is the group index
 // plus one (0 means empty). A flat probe table beats a Go map here: the
-// table is cleared with one memclr per batch and probed with two compares
-// per op on the execution critical path.
+// part of it a batch uses is cleared with one memclr and probed with two
+// compares per op on the execution critical path.
 type gslot struct {
 	hash uint64
 	gi   int32
@@ -165,8 +155,6 @@ func newWorker(e *Engine, id int) *worker {
 		n <<= 1
 	}
 	w.gtab = make([]gslot, n)
-	w.timer = time.NewTimer(time.Hour)
-	w.timer.Stop()
 	w.resetHistograms()
 	return w
 }
@@ -202,14 +190,14 @@ func hashKey(key []byte) uint64 {
 func HashKey(key []byte) uint64 { return hashKey(key) }
 
 // loop is the worker body. Each iteration assembles one trigger batch by
-// GATHERING every ready bucket it can reach — expired combine windows
-// first, then the own ring (deferring small young windows) — until the
-// batch holds BatchSize operations or the ring runs dry. Executing many
-// buckets' backlogs as a single trigger batch is what amortizes the
-// per-batch costs (grouping table, counter flush, timestamps, scheduler
-// wakeups) back to per-4096-ops rather than per-bucket. Only when nothing
-// local is ready does the worker steal from the most-backlogged peer, and
-// only when that fails does it park.
+// GATHERING every ready bucket on its own ring until the batch holds
+// BatchSize operations or the ring runs dry: whatever producers queued
+// while the previous batch executed is this batch, and nothing waits for
+// more. Executing many buckets' backlogs as a single trigger batch is what
+// amortizes the per-batch costs (counter flush, timestamps, scheduler
+// wakeups) over every ready operation rather than per bucket. Only when
+// nothing local is ready does the worker steal from the most-backlogged
+// peer, and only when that fails does it park.
 func (w *worker) loop() {
 	defer w.e.wg.Done()
 	for {
@@ -221,14 +209,8 @@ func (w *worker) loop() {
 		w.bchunkBkt = w.bchunkBkt[:0]
 		w.bn = 0
 		w.runIDs = w.runIDs[:0]
-		now := time.Now().UnixNano()
 		for w.bn < w.e.cfg.BatchSize {
-			id, ok := w.popExpired(now)
-			if !ok {
-				if id, ok = w.e.rings[w.id].pop(); ok && w.maybeDefer(id) {
-					continue
-				}
-			}
+			id, ok := w.e.rings[w.id].pop()
 			if !ok {
 				break
 			}
@@ -266,62 +248,7 @@ func (w *worker) loop() {
 	}
 }
 
-// maybeDefer sets aside a popped bucket whose combine window is still
-// young and under-filled, giving producers until the MaxDelay deadline to
-// coalesce more operations while this worker runs other ready work. An
-// otherwise-idle worker never defers — light load executes immediately.
-func (w *worker) maybeDefer(id int32) bool {
-	cfg := &w.e.cfg
-	if cfg.MaxDelay <= 0 || cfg.MinBatch <= 1 {
-		return false
-	}
-	b := &w.e.buckets[id]
-	b.mu.Lock()
-	n := b.nops
-	ws := b.windowStart
-	b.mu.Unlock()
-	if n >= cfg.MinBatch {
-		return false
-	}
-	deadline := ws + int64(cfg.MaxDelay)
-	if time.Now().UnixNano() >= deadline {
-		return false
-	}
-	if w.bn == 0 && len(w.deferred) == 0 && w.e.rings[w.id].length() == 0 {
-		return false // no other work to interleave: run now
-	}
-	w.deferred = append(w.deferred, deferredWindow{id: id, deadline: deadline})
-	w.e.ms.Inc(metrics.CtrWindowDeferrals)
-	return true
-}
-
-// popExpired removes and returns a deferred window whose deadline passed.
-func (w *worker) popExpired(now int64) (int32, bool) {
-	for i := range w.deferred {
-		if w.deferred[i].deadline <= now {
-			id := w.deferred[i].id
-			last := len(w.deferred) - 1
-			w.deferred[i] = w.deferred[last]
-			w.deferred = w.deferred[:last]
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// earliestDeadline returns the soonest deferred-window deadline, 0 if none.
-func (w *worker) earliestDeadline() int64 {
-	var dl int64
-	for i := range w.deferred {
-		if dl == 0 || w.deferred[i].deadline < dl {
-			dl = w.deferred[i].deadline
-		}
-	}
-	return dl
-}
-
-// park blocks until new work is signaled or the earliest deferred deadline
-// expires. The deadline timer is armed only while deferred windows exist.
+// park blocks until new work is signaled.
 func (w *worker) park() {
 	w.sleeping.Store(true)
 	w.e.setIdle(w.id, true)
@@ -331,19 +258,6 @@ func (w *worker) park() {
 	}()
 	if w.e.rings[w.id].length() > 0 || w.e.closing.Load() {
 		return // work (or shutdown) raced in before we were advertised
-	}
-	if dl := w.earliestDeadline(); dl > 0 {
-		d := time.Duration(dl - time.Now().UnixNano())
-		if d <= 0 {
-			return
-		}
-		w.timer.Reset(d)
-		select {
-		case <-w.wake:
-			w.timer.Stop()
-		case <-w.timer.C:
-		}
-		return
 	}
 	<-w.wake
 }
@@ -357,18 +271,11 @@ func (w *worker) forceWake() {
 }
 
 // drain runs the shutdown protocol: execute everything reachable (own
-// deferred windows, own ring, any peer's ring) until no operation is in
-// flight anywhere, then exit.
+// ring, any peer's ring) until no operation is in flight anywhere, then
+// exit.
 func (w *worker) drain() {
 	e := w.e
 	for {
-		if len(w.deferred) > 0 {
-			last := len(w.deferred) - 1
-			id := w.deferred[last].id
-			w.deferred = w.deferred[:last]
-			w.runBucket(id, false)
-			continue
-		}
 		if id, ok := e.rings[w.id].pop(); ok {
 			w.runBucket(id, false)
 			continue
@@ -416,7 +323,7 @@ func (w *worker) collect(id int32, stolen bool) {
 	space := e.cfg.BatchSize - w.bn
 	k, taken := 0, 0
 	for k < len(b.chunks) && taken < space {
-		taken += len(b.chunks[k])
+		taken += len(b.chunks[k].t)
 		k++
 	}
 	w.bchunks = append(w.bchunks, b.chunks[:k]...)
@@ -455,10 +362,9 @@ func (w *worker) finishBatch() {
 	w.beats.Add(1)
 	e.inflight.Add(-int64(w.bn))
 	for _, c := range w.bchunks {
-		clearTasks(c) // drop key/reply/done refs before the chunk recycles
 		e.putChunk(c)
 	}
-	now := time.Now().UnixNano()
+	clear(w.bchunks) // an idle worker, like an idle bucket, pins no pooled chunk
 	for _, id := range w.runIDs {
 		b := &e.buckets[id]
 		b.mu.Lock()
@@ -468,7 +374,6 @@ func (w *worker) finishBatch() {
 			continue
 		}
 		b.state.Store(bQueued)
-		b.windowStart = now
 		b.mu.Unlock()
 		w.requeue(id)
 	}
@@ -487,14 +392,6 @@ func (w *worker) runBucket(id int32, stolen bool) {
 	}
 }
 
-// clearTasks zeroes vacated task slots so their key/reply/done references
-// do not linger in a bucket's backing array.
-func clearTasks(ts []task) {
-	for i := range ts {
-		ts[i] = task{}
-	}
-}
-
 // execBatch executes one trigger batch: group by key (first-appearance
 // order across the batch, arrival order within a group, reusing the hash
 // carried in each task), then execute each group. Tasks are referenced in
@@ -507,15 +404,19 @@ func (w *worker) execBatch() {
 	}
 
 	w.groups = w.groups[:0]
-	clear(w.gtab) // one memclr; gslot has no pointers
-	mask := uint64(len(w.gtab) - 1)
+	// The batch uses the table's first power-of-two slots past 2*bn (under
+	// 50% load): a small batch must not pay to clear a table sized for the
+	// largest.
+	gtab := w.gtab[:1<<bits.Len(uint(2*w.bn))]
+	clear(gtab) // one memclr; gslot has no pointers
+	mask := uint64(len(gtab) - 1)
 	for ci, c := range w.bchunks {
 		bkt := w.bchunkBkt[ci]
-		for i := range c {
-			t := &c[i]
+		for i := range c.t {
+			t := &c.t[i]
 			pos := t.hash & mask
 			for {
-				s := &w.gtab[pos]
+				s := &gtab[pos]
 				if s.gi == 0 {
 					s.hash = t.hash
 					s.gi = int32(len(w.groups)) + 1
@@ -620,16 +521,17 @@ func (w *worker) locateBucket(bkt int32, groups []group) {
 	}
 	if cap(w.llocs) < len(w.lkeys) {
 		w.llocs = make([]olc.BatchLoc, len(w.lkeys))
+		w.lidx = make([]int, len(w.lkeys))
 	}
 	locs := w.llocs[:len(w.lkeys)]
-	st, ok := tree.LocateBatch(from, w.e.anchorMaxDepth(), w.lkeys, locs)
+	st, ok := tree.LocateBatch(from, w.e.anchorMaxDepth(), w.lkeys, locs, w.lidx)
 	if !ok {
 		// The anchor's node went obsolete under a structural change: drop
 		// the entry and redo the descent from the root.
 		w.c.hotsetInvalid++
 		w.hotset.invalidate(int(bkt))
 		from, anchored = olc.Ref{}, false
-		st, _ = tree.LocateBatch(from, w.e.anchorMaxDepth(), w.lkeys, locs)
+		st, _ = tree.LocateBatch(from, w.e.anchorMaxDepth(), w.lkeys, locs, w.lidx)
 	}
 	if anchored {
 		w.c.hotsetHit++

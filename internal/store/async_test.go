@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/pctt"
+	"repro/internal/race"
 )
 
 // asyncStores builds one of each topology for the async-surface tests.
@@ -201,5 +202,43 @@ func TestCloseContract(t *testing.T) {
 				t.Fatalf("goroutines: %d before open, %d after Close", before, n)
 			}
 		})
+	}
+}
+
+// TestAllocBudgetBatchedAsync: once the pools are warm, a token operation on
+// an existing key — submit, combine, trigger, reply, Wait — allocates
+// nothing: the task lands in a pooled chunk, the token and its reply channel
+// come back from one pool, and the worker's batch descent runs on scratch.
+func TestAllocBudgetBatchedAsync(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	st := NewBatched(pctt.Config{Workers: 2})
+	defer st.Close()
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%04d", i*37))
+		st.Put(keys[i], uint64(i))
+	}
+	var toks [16]Pending
+	round := func() {
+		for i := range toks {
+			if k := keys[i*4]; i%2 == 0 {
+				toks[i] = st.GetAsync(k)
+			} else {
+				toks[i] = st.PutAsync(k, uint64(i))
+			}
+		}
+		for i, tok := range toks {
+			if _, found := tok.Wait(); !found {
+				t.Fatalf("token %d: existing key reported absent", i)
+			}
+		}
+	}
+	for i := 0; i < 100; i++ {
+		round() // warm the pools and grow the workers' scratch
+	}
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Errorf("%v allocs per round of %d token ops, want 0", n, len(toks))
 	}
 }
